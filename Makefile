@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt-check bench report-diff prof-determinism par-determinism telemetry-determinism bench-smoke bench-json serve-smoke cluster-smoke ci
+.PHONY: all build test race flake vet lint fmt-check bench report-diff prof-determinism par-determinism telemetry-determinism bench-smoke bench-json serve-smoke cluster-smoke ci
 
 all: build test
 
@@ -12,6 +12,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# flake reruns the whole suite three times in a shuffled order, so a test
+# that depends on timing or on running after another one fails here.
+flake:
+	$(GO) test -count 3 -shuffle on ./...
 
 vet:
 	$(GO) vet ./...
@@ -220,4 +225,4 @@ cluster-smoke:
 	kill -TERM $$p4; wait $$p4; \
 	echo "cluster-smoke: OK (exactly-once cold, byte identity, rolling drain with zero errors, disk-tier warm restart)"
 
-ci: fmt-check lint build race report-diff prof-determinism par-determinism telemetry-determinism bench-smoke bench-json serve-smoke cluster-smoke
+ci: fmt-check lint build race flake report-diff prof-determinism par-determinism telemetry-determinism bench-smoke bench-json serve-smoke cluster-smoke

@@ -151,14 +151,13 @@ type BreakdownStep struct {
 	Cycles int64
 }
 
-// HypercallBreakdown runs a traced hypercall and returns the Table III
+// HypercallBreakdown profiles one hypercall and returns the Table III
 // style attribution: where every cycle of the VM-to-hypervisor round trip
 // goes.
 func (s *System) HypercallBreakdown() []BreakdownStep {
-	r := micro.HypercallBreakdown(s.kind.factory()())
 	var out []BreakdownStep
-	for _, st := range r.Breakdown.ByName() {
-		out = append(out, BreakdownStep{Name: st.Name, Cycles: int64(st.Cycles)})
+	for _, c := range micro.ProfileOp(s.kind.factory()(), "hypercall").Profile.Charges() {
+		out = append(out, BreakdownStep{Name: c.Name, Cycles: c.Cycles})
 	}
 	return out
 }

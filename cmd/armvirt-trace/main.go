@@ -49,7 +49,10 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("%s on %s: %d cycles\n\n", r.Name, *platformFlag, r.Cycles)
-	fmt.Print(r.Breakdown.String())
+	for _, c := range r.Profile.Charges() {
+		fmt.Printf("%-32s %8d\n", c.Name, c.Cycles)
+	}
+	fmt.Printf("%-32s %8d\n", "TOTAL", r.Profile.Total())
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -69,13 +72,14 @@ func main() {
 	}
 }
 
-// traceOp converts a panic inside the traced run (model violations panic by
-// design) into an error so the process exits non-zero instead of crashing.
-func traceOp(h hyp.Hypervisor, op string) (r micro.Result, err error) {
+// traceOp converts a panic inside the profiled run (model violations panic
+// by design) into an error so the process exits non-zero instead of
+// crashing.
+func traceOp(h hyp.Hypervisor, op string) (r micro.OpProfile, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("trace failed: %v", rec)
 		}
 	}()
-	return micro.TraceOp(h, op), nil
+	return micro.ProfileOp(h, op), nil
 }

@@ -48,8 +48,8 @@ var layeringSeams = map[string]bool{
 // layeringEngineInternal extends the deny set for wall-tier importers
 // beyond DetclockScope: packages that are engine plumbing even though the
 // detclock analyzer tracks them separately (hw builds machines, platform
-// and trace are engine-facing substrate).
-var layeringEngineInternal = []string{"hw", "platform", "trace"}
+// is engine-facing substrate).
+var layeringEngineInternal = []string{"hw", "platform"}
 
 // Layering is the import-DAG analyzer.
 var Layering = &Analyzer{

@@ -4,7 +4,7 @@
 // A nil *obs.Recorder is a valid recorder that records nothing, and a nil
 // *telemetry.Sampler is a valid sampler that samples nothing, so
 // instrumentation hooks stay in place at zero cost when observability is
-// off (the *trace.Breakdown idiom). That contract has two halves:
+// off. That contract has two halves:
 //
 //  1. Definition side: every exported pointer-receiver method on
 //     obs.Recorder or telemetry.Sampler — and on any type that embeds

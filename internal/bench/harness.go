@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"armvirt/internal/cpu"
 	"armvirt/internal/hyp"
 	"armvirt/internal/micro"
 	"armvirt/internal/platform"
@@ -159,12 +158,15 @@ type TableIIIResult struct {
 
 // RunTableIII regenerates Table III on split-mode KVM ARM.
 func RunTableIII() TableIIIResult {
-	r := micro.HypercallBreakdown(Factories()["KVM ARM"]())
+	r := micro.ProfileOp(Factories()["KVM ARM"](), "hypercall")
+	charged := map[string]int64{}
+	for _, c := range r.Profile.Charges() {
+		charged[c.Name] = c.Cycles
+	}
 	out := TableIIIResult{SaveRestore: map[string][2]float64{}, Total: float64(r.Cycles)}
-	var state cpu.Cycles
+	var state int64
 	for _, cls := range TableIIIOrder {
-		save := r.Breakdown.Get(cls + ": save")
-		restore := r.Breakdown.Get(cls + ": restore")
+		save, restore := charged[cls+": save"], charged[cls+": restore"]
 		out.SaveRestore[cls] = [2]float64{float64(save), float64(restore)}
 		state += save + restore
 	}

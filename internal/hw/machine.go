@@ -75,9 +75,12 @@ type Machine struct {
 	// nothing. Attach one with SetSampler — or build the machine under
 	// telemetry.Collect, which wires a sampler automatically.
 	Tel *telemetry.Sampler
-	// partitioned records that New placed each CPU on its own engine
-	// partition (Config.PartitionPerCPU).
-	partitioned bool
+	// cpuPart is the engine layout when New placed each CPU on its own
+	// partition (Config.PartitionPerCPU): pcpu i lives on partition
+	// cpuPart[i] = i+1, partition 0 keeps the shared devices. Recorders and
+	// samplers are split to the same layout. Nil on an unpartitioned
+	// machine.
+	cpuPart []int
 }
 
 // New builds a machine per cfg.
@@ -114,8 +117,8 @@ func New(cfg Config) *Machine {
 		eng.SetLookahead(sim.Time(cfg.Cost.IPIWire))
 		for i := 0; i < cfg.NCPU; i++ {
 			eng.AddPartition(fmt.Sprintf("pcpu%d", i))
+			m.cpuPart = append(m.cpuPart, i+1)
 		}
-		m.partitioned = true
 	}
 	for i := 0; i < cfg.NCPU; i++ {
 		c := &CPU{
@@ -134,7 +137,7 @@ func New(cfg Config) *Machine {
 		m.Dist = gic.NewDistributor(eng, cfg.NCPU, sim.Time(cfg.Cost.IPIWire), func(d gic.Delivery) {
 			m.CPUs[d.CPU].IRQ.Send(d)
 		})
-		if m.partitioned {
+		if m.Partitioned() {
 			m.Dist.PartOf = m.PartOf
 		}
 	}
@@ -146,17 +149,17 @@ func New(cfg Config) *Machine {
 
 // Partitioned reports whether each CPU lives on its own engine partition
 // (Config.PartitionPerCPU).
-func (m *Machine) Partitioned() bool { return m.partitioned }
+func (m *Machine) Partitioned() bool { return m.cpuPart != nil }
 
 // PartOf returns the engine partition physical CPU cpu lives on: pcpu i is
 // partition i+1 on a partitioned machine (partition 0 holds shared
 // devices), and everything is partition 0 otherwise. Fibers modelling work
 // on a CPU must be spawned with Eng.GoOn on this partition.
 func (m *Machine) PartOf(cpu int) sim.PartID {
-	if !m.partitioned {
+	if !m.Partitioned() {
 		return 0
 	}
-	return sim.PartID(cpu + 1)
+	return sim.PartID(m.cpuPart[cpu])
 }
 
 // NCPU returns the physical core count.
@@ -177,15 +180,11 @@ func (m *Machine) SetRecorder(r *obs.Recorder) {
 		m.Eng.SetProcTapPart(nil)
 		return
 	}
-	if m.partitioned {
+	if m.Partitioned() {
 		// Mirror the engine layout into the recorder so each partition
 		// owns an event cursor: pcpu i's events land on partition i+1,
 		// everything else on the shared partition 0.
-		cpuPart := make([]int, len(m.CPUs))
-		for i := range cpuPart {
-			cpuPart[i] = i + 1
-		}
-		r.Partition(len(m.CPUs)+1, cpuPart)
+		r.Partition(len(m.CPUs)+1, m.cpuPart)
 		m.Eng.SetProcTapPart(func(t sim.Time, part sim.PartID, what, name string) {
 			r.EmitPart(t, int(part), obs.ProcEvent, -1, "", -1, what+" "+name, 0)
 		})
@@ -206,12 +205,8 @@ func (m *Machine) SetSampler(s *telemetry.Sampler) {
 	if m.Dist != nil {
 		m.Dist.Tel = s
 	}
-	if s != nil && m.partitioned {
-		cpuPart := make([]int, len(m.CPUs))
-		for i := range cpuPart {
-			cpuPart[i] = i + 1
-		}
-		s.Partition(len(m.CPUs)+1, cpuPart)
+	if s != nil && m.Partitioned() {
+		s.Partition(len(m.CPUs)+1, m.cpuPart)
 	}
 }
 

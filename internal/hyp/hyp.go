@@ -15,7 +15,6 @@ import (
 	"armvirt/internal/obs"
 	"armvirt/internal/sim"
 	"armvirt/internal/telemetry"
-	"armvirt/internal/trace"
 )
 
 // Type is the hypervisor design type of Figure 1.
@@ -93,12 +92,6 @@ type VCPU struct {
 	// interrupts a remote sender has marked for this VCPU that have not
 	// yet been placed in list registers.
 	PendingSoft []gic.IRQ
-	// BR, when non-nil, receives cycle attribution for operations
-	// performed on this VCPU.
-	BR *trace.Breakdown
-	// Exits counts VM exits by reason, the statistic exit-rate studies
-	// report. Hypervisor implementations bump it on every guest exit.
-	Exits map[string]int64
 	// EnterT is the simulated time of the last GuestEnter, or -1 while the
 	// VCPU is not in a guest span. Emit maintains it to attribute the
 	// guest-mode interval to the telemetry sampler on the matching
@@ -131,24 +124,12 @@ func (v *VCPU) Emit(k obs.Kind, detail string, arg int64) {
 }
 
 // CountExit records one VM exit with the given reason. It is the single
-// choke point every hypervisor implementation routes exits through, so it
-// also publishes the GuestExit event: the gap from here to the VCPU's next
-// GuestEnter is the exit's full not-in-guest cost.
+// choke point every hypervisor implementation routes exits through: it
+// publishes the GuestExit event (which the telemetry exit counters and the
+// recorder's per-reason summary both count), and the gap from here to the
+// VCPU's next GuestEnter is the exit's full not-in-guest cost.
 func (v *VCPU) CountExit(reason string) {
-	if v.Exits == nil {
-		v.Exits = map[string]int64{}
-	}
-	v.Exits[reason]++
 	v.Emit(obs.GuestExit, reason, 0)
-}
-
-// TotalExits sums all recorded exits.
-func (v *VCPU) TotalExits() int64 {
-	var t int64
-	for _, n := range v.Exits {
-		t += n
-	}
-	return t
 }
 
 func (v *VCPU) String() string { return fmt.Sprintf("%s/vcpu%d", v.VM.Name, v.ID) }
@@ -172,8 +153,8 @@ func (v *VCPU) DrainSoft() []gic.IRQ {
 }
 
 // Charge makes the VCPU's current execution pay c cycles and attributes
-// them to name in the VCPU's breakdown recorder (if any) and, under the
-// fiber's current span stack, in the machine's profiler. Cycles charged
+// them to name under the fiber's current span stack in the machine's
+// profiler, whose flat view is the Table III breakdown. Cycles charged
 // outside a guest span (EnterT < 0, not !InGuest — CountExit closes the
 // span before the trap cost is charged while InGuest is still set) count
 // toward the telemetry hypervisor-utilization series.
@@ -181,7 +162,6 @@ func (v *VCPU) Charge(p *sim.Proc, name string, c cpu.Cycles) {
 	if c <= 0 {
 		return
 	}
-	v.BR.Add(name, c)
 	m := v.VM.Hyp.Machine()
 	m.Rec.ChargeCycles(p, name, int64(c))
 	if v.EnterT < 0 {

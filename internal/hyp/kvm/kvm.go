@@ -367,7 +367,6 @@ func (k *KVM) SwitchVM(p *sim.Proc, from, to *hyp.VCPU) {
 	defer from.EndSpan(p)
 	k.exitToHost(p, from)
 	from.Charge(p, "host scheduler: thread switch", k.c.HostSchedSwitch)
-	to.BR = from.BR // attribute the whole switch to one recorder
 	k.enterGuest(p, to)
 }
 

@@ -8,6 +8,7 @@ import (
 	"armvirt/internal/hw"
 	"armvirt/internal/hyp"
 	"armvirt/internal/hyp/kvm"
+	"armvirt/internal/obs"
 	"armvirt/internal/platform"
 	"armvirt/internal/sim"
 )
@@ -214,6 +215,7 @@ func TestVHESwitchVMMovesFullState(t *testing.T) {
 func TestVHEGuestOpCosts(t *testing.T) {
 	pl := platform.NewKVMARMVHE()
 	h := pl.KVM
+	exits := recordExits(h)
 	vm := h.NewVM("vm0", []int{0, 1})
 	a, b := vm.VCPUs[0], vm.VCPUs[1]
 	eng := h.Machine().Eng
@@ -232,14 +234,15 @@ func TestVHEGuestOpCosts(t *testing.T) {
 		g.SendIPI(p, b)
 	})
 	eng.Run()
-	if a.Exits["stage2-fault"] != 1 || a.Exits["sgi"] != 1 {
-		t.Errorf("exits = %v", a.Exits)
+	if ex := exits(a); ex["stage2-fault"] != 1 || ex["sgi"] != 1 {
+		t.Errorf("exits = %v", ex)
 	}
 }
 
 func TestX86BlockAndVAPIC(t *testing.T) {
 	m := platform.X86Machine(true) // vAPIC
 	h := kvmNew(m)
+	exits := recordExits(h)
 	vm := h.NewVM("vm0", []int{0})
 	v := vm.VCPUs[0]
 	eng := m.Eng
@@ -256,8 +259,8 @@ func TestX86BlockAndVAPIC(t *testing.T) {
 		h.NotifyGuest(p, nil, v, hyp.VirqVirtioNet)
 	})
 	eng.Run()
-	if v.Exits["wfi"] != 1 {
-		t.Errorf("exits = %v", v.Exits)
+	if ex := exits(v); ex["wfi"] != 1 {
+		t.Errorf("exits = %v", ex)
 	}
 }
 
@@ -304,6 +307,7 @@ func TestNameAndType(t *testing.T) {
 func TestExitAccounting(t *testing.T) {
 	pl := platform.NewKVMARM()
 	h := pl.KVM
+	exits := recordExits(h)
 	vm := h.NewVM("vm0", []int{0, 1})
 	a, b := vm.VCPUs[0], vm.VCPUs[1]
 	eng := h.Machine().Eng
@@ -319,17 +323,22 @@ func TestExitAccounting(t *testing.T) {
 		g.TouchPage(p, 0x6000_0000, true)
 	})
 	eng.Run()
+	sent := exits(a)
 	want := map[string]int64{"hypercall": 2, "mmio": 1, "sgi": 1, "stage2-fault": 1}
 	for reason, n := range want {
-		if a.Exits[reason] != n {
-			t.Errorf("sender exits[%s] = %d, want %d (all: %v)", reason, a.Exits[reason], n, a.Exits)
+		if sent[reason] != n {
+			t.Errorf("sender exits[%s] = %d, want %d (all: %v)", reason, sent[reason], n, sent)
 		}
 	}
-	if a.TotalExits() != 5 {
-		t.Errorf("sender total exits = %d, want 5", a.TotalExits())
+	var total int64
+	for _, n := range sent {
+		total += n
 	}
-	if b.Exits["irq"] != 1 {
-		t.Errorf("receiver exits = %v, want one irq exit", b.Exits)
+	if total != 5 {
+		t.Errorf("sender total exits = %d, want 5", total)
+	}
+	if ex := exits(b); ex["irq"] != 1 {
+		t.Errorf("receiver exits = %v, want one irq exit", ex)
 	}
 }
 
@@ -394,4 +403,20 @@ func TestTimerDeliveryThroughHypervisor(t *testing.T) {
 // x86 cost table.
 func kvmNew(m *hw.Machine) *kvm.KVM {
 	return kvm.New(m, platform.KVMX86Costs(), false)
+}
+
+// recordExits attaches an event recorder to h's machine and returns a
+// lookup of one VCPU's GuestExit events in it, counted by exit reason.
+func recordExits(h hyp.Hypervisor) func(v *hyp.VCPU) map[string]int64 {
+	rec := obs.NewRecorder(h.Machine().NCPU(), 256)
+	h.Machine().SetRecorder(rec)
+	return func(v *hyp.VCPU) map[string]int64 {
+		n := map[string]int64{}
+		for _, e := range rec.Events() {
+			if e.Kind == obs.GuestExit && e.VM == v.VM.Name && e.VCPU == v.ID {
+				n[e.Detail]++
+			}
+		}
+		return n
+	}
 }

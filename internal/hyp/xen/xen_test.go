@@ -6,6 +6,7 @@ import (
 	"armvirt/internal/cpu"
 	"armvirt/internal/hyp"
 	"armvirt/internal/hyp/xen"
+	"armvirt/internal/obs"
 	"armvirt/internal/platform"
 	"armvirt/internal/sim"
 )
@@ -167,6 +168,7 @@ func TestXenNames(t *testing.T) {
 func TestX86XenGuestOps(t *testing.T) {
 	pl := platform.NewXenX86()
 	h := pl.Xen
+	exits := recordExits(h)
 	vm := h.NewVM("domU", []int{0})
 	v := vm.VCPUs[0]
 	eng := h.Machine().Eng
@@ -193,8 +195,8 @@ func TestX86XenGuestOps(t *testing.T) {
 		g.TouchPage(p, 0x7000_0000, true)
 	})
 	eng.Run()
-	if v.Exits["stage2-fault"] != 1 {
-		t.Errorf("exits = %v", v.Exits)
+	if ex := exits(v); ex["stage2-fault"] != 1 {
+		t.Errorf("exits = %v", ex)
 	}
 }
 
@@ -256,5 +258,21 @@ func TestX86XenBlockAndWake(t *testing.T) {
 	eng.Run()
 	if !woke {
 		t.Fatal("x86 Xen guest never woke")
+	}
+}
+
+// recordExits attaches an event recorder to h's machine and returns a
+// lookup of one VCPU's GuestExit events in it, counted by exit reason.
+func recordExits(h hyp.Hypervisor) func(v *hyp.VCPU) map[string]int64 {
+	rec := obs.NewRecorder(h.Machine().NCPU(), 256)
+	h.Machine().SetRecorder(rec)
+	return func(v *hyp.VCPU) map[string]int64 {
+		n := map[string]int64{}
+		for _, e := range rec.Events() {
+			if e.Kind == obs.GuestExit && e.VM == v.VM.Name && e.VCPU == v.ID {
+				n[e.Detail]++
+			}
+		}
+		return n
 	}
 }

@@ -136,11 +136,11 @@ func TestTableIIShape(t *testing.T) {
 	}
 }
 
-// TestTableIIIBreakdown verifies the traced hypercall attribution
+// TestTableIIIBreakdown verifies the profiled hypercall's flat view
 // reproduces Table III's save/restore costs per register class.
 func TestTableIIIBreakdown(t *testing.T) {
-	r := HypercallBreakdown(platform.NewKVMARM().Hyp())
-	want := map[string][2]cpu.Cycles{
+	r := ProfileOp(platform.NewKVMARM().Hyp(), "hypercall")
+	want := map[string][2]int64{
 		"GP Regs":                 {152, 184},
 		"FP Regs":                 {282, 310},
 		"EL1 System Regs":         {230, 511},
@@ -150,21 +150,24 @@ func TestTableIIIBreakdown(t *testing.T) {
 		"EL2 Virtual Memory Regs": {92, 107},
 	}
 	for cls, sr := range want {
-		if got := r.Breakdown.Get(cls + ": save"); got != sr[0] {
+		if got := charged(r, cls+": save"); got != sr[0] {
 			t.Errorf("%s save = %d, want %d", cls, got, sr[0])
 		}
-		if got := r.Breakdown.Get(cls + ": restore"); got != sr[1] {
+		if got := charged(r, cls+": restore"); got != sr[1] {
 			t.Errorf("%s restore = %d, want %d", cls, got, sr[1])
 		}
 	}
-	if r.Breakdown.Total() != r.Cycles {
-		t.Errorf("breakdown total %d != measured %d", r.Breakdown.Total(), r.Cycles)
+	var flat int64
+	for _, c := range r.Profile.Charges() {
+		flat += c.Cycles
+	}
+	if flat != int64(r.Cycles) {
+		t.Errorf("flat view total %d != measured %d", flat, r.Cycles)
 	}
 	// §IV: saving and restoring state accounts for almost all of the
 	// hypercall time.
-	var stateTotal cpu.Cycles
-	for cls, sr := range want {
-		_ = cls
+	var stateTotal int64
+	for _, sr := range want {
 		stateTotal += sr[0] + sr[1]
 	}
 	if float64(stateTotal)/float64(r.Cycles) < 0.80 {

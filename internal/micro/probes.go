@@ -41,7 +41,7 @@ func VirqDeliveryBusy(h hyp.Hypervisor) Result {
 		}
 	})
 	eng.Run()
-	return summarize("Virq Delivery (busy guest)", samples, nil)
+	return summarize("Virq Delivery (busy guest)", samples)
 }
 
 // PathCosts summarizes the simulated platform's primitive path costs for

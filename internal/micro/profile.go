@@ -2,14 +2,19 @@ package micro
 
 import (
 	"armvirt/internal/cpu"
+	"armvirt/internal/hw"
 	"armvirt/internal/hyp"
 	"armvirt/internal/obs"
 	"armvirt/internal/sim"
 )
 
+// TracedOps lists the operations ProfileOp accepts.
+var TracedOps = []string{"hypercall", "gictrap", "vmswitch", "virqcomplete", "stage2fault"}
+
 // OpProfile is one operation's span profile: the Table III methodology
-// generalized — instead of a flat name→cycles breakdown, the full phase
-// tree the profiler recorded while the operation ran.
+// generalized — the full phase tree the profiler recorded while the
+// operation ran, whose flat view (Profile.Charges) is the Table III
+// breakdown.
 type OpProfile struct {
 	// Op is the TracedOps key ("hypercall", "vmswitch", ...).
 	Op string
@@ -27,28 +32,29 @@ type OpProfile struct {
 }
 
 // ProfileOp runs one operation (a TracedOps name) on a freshly built
-// platform h with the span profiler attached, using the same measurement
-// discipline as TraceOp: warm one operation to reach steady state, reset
-// the profile, measure exactly one operation, then detach the recorder so
-// teardown costs are not attributed.
+// platform h with the span profiler attached: warm one operation to reach
+// steady state, reset the profile, measure exactly one operation, and take
+// the profile of that window. A recorder already attached to the machine
+// (a full event trace, say) is used as it is and stays attached; otherwise
+// ProfileOp attaches a small one.
 func ProfileOp(h hyp.Hypervisor, op string) OpProfile {
 	switch op {
 	case "hypercall":
-		return profileSingle(h, op, "Hypercall", func(p *sim.Proc, g *hyp.Guest) {
+		return profileSingle(h, op, "Hypercall", "hypercall-breakdown", func(p *sim.Proc, g *hyp.Guest) {
 			g.Hypercall(p)
 		})
 	case "gictrap":
-		return profileSingle(h, op, "Interrupt Controller Trap", func(p *sim.Proc, g *hyp.Guest) {
+		return profileSingle(h, op, "Interrupt Controller Trap", "traced-Interrupt Controller Trap", func(p *sim.Proc, g *hyp.Guest) {
 			g.GICTrap(p)
 		})
 	case "virqcomplete":
-		return profileSingle(h, op, "Virtual IRQ Completion", func(p *sim.Proc, g *hyp.Guest) {
+		return profileSingle(h, op, "Virtual IRQ Completion", "traced-Virtual IRQ Completion", func(p *sim.Proc, g *hyp.Guest) {
 			g.V.InjectVirq(hyp.VirqGuestIPI)
 			virq := g.WaitVirq(p, true)
 			g.Complete(p, virq)
 		})
 	case "stage2fault":
-		return profileSingle(h, op, "Stage-2 Fault", func(p *sim.Proc, g *hyp.Guest) {
+		return profileSingle(h, op, "Stage-2 Fault", "traced-Stage-2 Fault", func(p *sim.Proc, g *hyp.Guest) {
 			g.TouchPage(p, 0x5000_0000, true)
 		})
 	case "vmswitch":
@@ -57,61 +63,53 @@ func ProfileOp(h hyp.Hypervisor, op string) OpProfile {
 	panic("micro: unknown profiled op " + op)
 }
 
-// newProfileRecorder builds the recorder ProfileOp attaches: only the span
-// tree matters here, so the event rings are kept tiny instead of the
-// tracing default.
-func newProfileRecorder(ncpu int) *obs.Recorder {
-	return obs.NewRecorder(ncpu, 64)
+// profileRecorder returns the machine's recorder, first attaching one
+// when there is none. Only its span tree matters to ProfileOp, so the
+// event rings of an attached one are kept tiny.
+func profileRecorder(m *hw.Machine) *obs.Recorder {
+	if m.Rec == nil {
+		m.SetRecorder(obs.NewRecorder(m.NCPU(), 64))
+	}
+	return m.Rec
 }
 
-// profileSingle is tracedSingle with the profiler attached instead of a
-// flat breakdown.
-func profileSingle(h hyp.Hypervisor, op, name string, body func(p *sim.Proc, g *hyp.Guest)) OpProfile {
+// profileSingle measures body once on a warm single-VCPU VM. proc names
+// the guest fiber, which a full event trace shows.
+func profileSingle(h hyp.Hypervisor, op, name, proc string, body func(p *sim.Proc, g *hyp.Guest)) OpProfile {
 	m := h.Machine()
-	rec := newProfileRecorder(m.NCPU())
-	m.SetRecorder(rec)
+	rec := profileRecorder(m)
 	vm := h.NewVM("vm0", guestPin[:1])
-	v := vm.VCPUs[0]
-	var cycles cpu.Cycles
-	hyp.Run(h, "profiled-"+op, v, func(p *sim.Proc, g *hyp.Guest) {
+	out := OpProfile{Op: op, Name: name, Platform: h.Name(), FreqMHz: m.Cost.FreqMHz}
+	hyp.Run(h, proc, vm.VCPUs[0], func(p *sim.Proc, g *hyp.Guest) {
 		g.Hypercall(p) // warm residency state
 		rec.ResetProfile()
 		t0 := p.Now()
 		body(p, g)
-		cycles = cpu.Cycles(p.Now() - t0)
-		// Detach before hyp.Run's teardown ExitGuest, so the profile
+		// Take the profile before hyp.Run's teardown ExitGuest, so it
 		// covers exactly the measured window.
-		m.SetRecorder(nil)
+		out.Cycles, out.Profile = cpu.Cycles(p.Now()-t0), rec.Profile()
 	})
 	m.Eng.Run()
-	return OpProfile{
-		Op: op, Name: name, Platform: h.Name(), FreqMHz: m.Cost.FreqMHz,
-		Cycles: cycles, Profile: rec.Profile(),
-	}
+	return out
 }
 
 func profileVMSwitch(h hyp.Hypervisor) OpProfile {
 	m := h.Machine()
-	rec := newProfileRecorder(m.NCPU())
-	m.SetRecorder(rec)
+	rec := profileRecorder(m)
 	vm1 := h.NewVM("vm1", guestPin[:1])
 	vm2 := h.NewVM("vm2", guestPin[:1])
 	a, b := vm1.VCPUs[0], vm2.VCPUs[0]
-	var cycles cpu.Cycles
-	m.Eng.Go("profiled-vmswitch", func(p *sim.Proc) {
+	out := OpProfile{Op: "vmswitch", Name: "VM Switch", Platform: h.Name(), FreqMHz: m.Cost.FreqMHz}
+	m.Eng.Go("traced-vmswitch", func(p *sim.Proc) {
 		h.EnterGuest(p, a)
 		h.SwitchVM(p, a, b) // warm
 		h.SwitchVM(p, b, a)
 		rec.ResetProfile()
 		t0 := p.Now()
 		h.SwitchVM(p, a, b)
-		cycles = cpu.Cycles(p.Now() - t0)
-		m.SetRecorder(nil)
+		out.Cycles, out.Profile = cpu.Cycles(p.Now()-t0), rec.Profile()
 		h.ExitGuest(p, b)
 	})
 	m.Eng.Run()
-	return OpProfile{
-		Op: "vmswitch", Name: "VM Switch", Platform: h.Name(), FreqMHz: m.Cost.FreqMHz,
-		Cycles: cycles, Profile: rec.Profile(),
-	}
+	return out
 }

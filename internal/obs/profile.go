@@ -30,10 +30,13 @@ import (
 // Children are kept in first-insertion order, which the single-threaded
 // engine makes deterministic.
 type pnode struct {
-	name     string
-	self     int64
-	children []*pnode
-	index    map[string]*pnode
+	// name is the slugged frame label; label is the display name of the
+	// charges made here ("GP Regs: save" for gp-regs-save), empty on
+	// nodes that were only ever opened as phases and so charge nothing.
+	name, label string
+	self        int64
+	children    []*pnode
+	index       map[string]*pnode
 }
 
 func (n *pnode) child(name string) *pnode {
@@ -55,9 +58,8 @@ func (n *pnode) total() int64 {
 	return t
 }
 
-// Profile is the span tree of one recorded run. It is owned by a Recorder
-// but remains valid (and stable) after the recorder is detached from its
-// machine, so measurement code can snapshot-by-detach.
+// Profile is the span tree of one recorded run. Recorder.Profile returns
+// a copy, so a profile stays stable while its recorder keeps recording.
 type Profile struct {
 	root  *pnode
 	slugs map[string]string
@@ -140,20 +142,55 @@ type ProfileEntry struct {
 // Entries returns the profile's leaf entries — every (stack, cycles) pair
 // with a non-zero charge — in deterministic first-insertion DFS order.
 func (pf *Profile) Entries() []ProfileEntry {
-	if pf == nil {
-		return nil
-	}
 	var out []ProfileEntry
+	pf.walkCharged(func(stack []string, n *pnode) {
+		out = append(out, ProfileEntry{Stack: append([]string(nil), stack...), Cycles: n.self})
+	})
+	return out
+}
+
+// walkCharged calls fn, in first-insertion DFS order, for every node with
+// a non-zero charge and the phase stack leading to it. fn must not keep
+// stack.
+func (pf *Profile) walkCharged(fn func(stack []string, n *pnode)) {
+	if pf == nil {
+		return
+	}
 	var walk func(n *pnode, stack []string)
 	walk = func(n *pnode, stack []string) {
 		if n.self > 0 {
-			out = append(out, ProfileEntry{Stack: append([]string(nil), stack...), Cycles: n.self})
+			fn(stack, n)
 		}
 		for _, c := range n.children {
 			walk(c, append(stack, c.name))
 		}
 	}
 	walk(pf.root, nil)
+}
+
+// Charge is one row of the profile's flat view: a charge name and the
+// cycles charged under it anywhere in the span tree.
+type Charge struct {
+	// Name is the display name passed to ChargeCycles ("GP Regs: save").
+	Name   string
+	Cycles int64
+}
+
+// Charges returns the flat view of the profile: its charged nodes summed
+// by frame label, in first-seen DFS order, under their display names. It
+// is the paper's Table III breakdown for a profiled operation; the rows
+// sum to Total.
+func (pf *Profile) Charges() []Charge {
+	var out []Charge
+	idx := map[string]int{}
+	pf.walkCharged(func(_ []string, n *pnode) {
+		if i, ok := idx[n.name]; ok {
+			out[i].Cycles += n.self
+			return
+		}
+		idx[n.name] = len(out)
+		out = append(out, Charge{Name: n.label, Cycles: n.self})
+	})
 	return out
 }
 
@@ -281,42 +318,36 @@ func (r *Recorder) ChargeCycles(p *sim.Proc, name string, c int64) {
 		return
 	}
 	ps := r.prof(r.partOfProc(p))
-	ps.cursor(p).child(ps.prof.slug(name)).self += c
+	n := ps.cursor(p).child(ps.prof.slug(name))
+	n.label = name
+	n.self += c
 }
 
-// Profile returns the recorder's span tree (nil if nothing was ever
-// profiled on a nil recorder). On a single-partition recorder this is the
-// live tree. On a partitioned recorder it is a fresh merge of the
-// per-partition trees in partition order — a pure function of the
-// recorded content, byte-identical at every engine worker count.
+// Profile returns a copy of the recorder's span tree (nil on a nil
+// recorder): the per-partition trees merged in partition order, a pure
+// function of the recorded content that is byte-identical at every engine
+// worker count. Later charges do not change a returned profile, so a
+// measurement harness can take its window's profile and leave the
+// recorder attached.
 func (r *Recorder) Profile() *Profile {
 	if r == nil {
 		return nil
 	}
-	if r.nparts == 1 {
-		return r.prof(0).prof
-	}
 	merged := NewProfile()
-	for part := 0; part < r.nparts; part++ {
-		ps := r.profiling[part]
+	for _, ps := range r.profiling {
 		if ps == nil {
 			continue
 		}
-		for _, e := range ps.prof.Entries() {
-			merged.addPath(e.Stack, e.Cycles)
-		}
+		ps.prof.walkCharged(func(stack []string, n *pnode) {
+			m := merged.root
+			for _, frame := range stack {
+				m = m.child(frame)
+			}
+			m.label = n.label
+			m.self += n.self
+		})
 	}
 	return merged
-}
-
-// addPath accumulates cycles at the leaf addressed by the (already
-// slugged) stack, creating interior nodes in first-insertion order.
-func (pf *Profile) addPath(stack []string, cycles int64) {
-	n := pf.root
-	for _, frame := range stack {
-		n = n.child(frame)
-	}
-	n.self += cycles
 }
 
 // ResetProfile zeroes all attributed cycles while keeping tree structure

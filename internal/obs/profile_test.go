@@ -86,6 +86,32 @@ func TestSpanNestingAndAttribution(t *testing.T) {
 	}
 }
 
+// The flat view sums a charge name across every phase it appears under,
+// in first-seen order, under its display name; a returned profile does
+// not move when the recorder keeps charging.
+func TestChargesFlatView(t *testing.T) {
+	r := NewRecorder(1, 0)
+	p := new(sim.Proc)
+	r.Span(p, "exit")
+	r.ChargeCycles(p, "Trap to EL2", 27)
+	r.ChargeCycles(p, "GP Regs: save", 152)
+	r.EndSpan(p)
+	r.Span(p, "enter")
+	r.ChargeCycles(p, "GP Regs: save", 8)
+	r.ChargeCycles(p, "eret", 27)
+	r.EndSpan(p)
+	pf := r.Profile()
+	r.ChargeCycles(p, "eret", 1000)
+
+	want := []Charge{{"Trap to EL2", 27}, {"GP Regs: save", 160}, {"eret", 27}}
+	if got := pf.Charges(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Charges = %+v, want %+v", got, want)
+	}
+	if pf.Total() != 214 {
+		t.Fatalf("Total = %d, want 214", pf.Total())
+	}
+}
+
 func TestEndSpanLenientAtEmptyStack(t *testing.T) {
 	r := NewRecorder(1, 0)
 	p := new(sim.Proc)

@@ -21,25 +21,32 @@ import (
 	"armvirt/internal/sim"
 )
 
-// statusRecorder captures the status code a handler writes so the
-// instrumentation middleware can count it.
-type statusRecorder struct {
+// heldResponse holds a handler's status and body until instrument has
+// appended the run's ledger entry, so a client that reads X-Armvirt-Run
+// off a response can always fetch /v1/runs/{id} (read-your-writes).
+type heldResponse struct {
 	http.ResponseWriter
 	status int
 	wrote  bool
+	body   bytes.Buffer
 }
 
-func (sr *statusRecorder) WriteHeader(code int) {
-	if !sr.wrote {
-		sr.status = code
-		sr.wrote = true
+func (hr *heldResponse) WriteHeader(code int) {
+	if !hr.wrote {
+		hr.status = code
+		hr.wrote = true
 	}
-	sr.ResponseWriter.WriteHeader(code)
 }
 
-func (sr *statusRecorder) Write(b []byte) (int, error) {
-	sr.wrote = true
-	return sr.ResponseWriter.Write(b)
+func (hr *heldResponse) Write(b []byte) (int, error) {
+	hr.wrote = true
+	return hr.body.Write(b)
+}
+
+// commit sends the held status and body.
+func (hr *heldResponse) commit() {
+	hr.ResponseWriter.WriteHeader(hr.status)
+	hr.ResponseWriter.Write(hr.body.Bytes())
 }
 
 // instrument wraps one route — the single instrumentation path every
@@ -48,8 +55,8 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 // separately), per-endpoint request counting and latency observation,
 // and the run ledger — a trace is begun, carried in the request context
 // for handlers and the admission layer to add spans to, announced in the
-// X-Armvirt-Run response header, and appended as a ledger entry when the
-// request finishes.
+// X-Armvirt-Run response header, and appended as a ledger entry before
+// the held response is sent.
 func (s *Server) instrument(endpoint string, fn http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -63,22 +70,22 @@ func (s *Server) instrument(endpoint string, fn http.HandlerFunc) http.Handler {
 			tr.SetUpstream(r.Header.Get(cluster.RunHeader))
 		}
 		r = r.WithContext(runlog.WithTrace(r.Context(), tr))
-		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		hr := &heldResponse{ResponseWriter: w, status: http.StatusOK}
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.met.RecordPanic()
-				if !sr.wrote {
-					http.Error(sr, fmt.Sprintf("internal error: %v", rec), http.StatusInternalServerError)
-				}
+				// Nothing has been sent yet: replace whatever the
+				// handler wrote with the 500.
+				hr.body.Reset()
+				hr.wrote = false
+				http.Error(hr, fmt.Sprintf("internal error: %v", rec), http.StatusInternalServerError)
 				tr.SetError(fmt.Errorf("handler panicked: %v", rec))
-				s.met.Record(endpoint, http.StatusInternalServerError, time.Since(start))
-				s.finishRun(tr, http.StatusInternalServerError)
-				return
 			}
-			s.met.Record(endpoint, sr.status, time.Since(start))
-			s.finishRun(tr, sr.status)
+			s.met.Record(endpoint, hr.status, time.Since(start))
+			s.finishRun(tr, hr.status)
+			hr.commit()
 		}()
-		fn(sr, r)
+		fn(hr, r)
 	})
 }
 
