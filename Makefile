@@ -54,33 +54,35 @@ prof-determinism:
 
 # par-determinism checks the parallel engine's byte-identity contract end
 # to end: the full report JSON and the folded profiler stacks must not
-# change one byte between -par 1 (sequential windows) and -par $(NPROC)
-# (one host worker per partition, capped by the machine).
-NPROC ?= $(shell nproc 2>/dev/null || echo 4)
+# change one byte between GOMAXPROCS=1 (sequential windows) and
+# GOMAXPROCS=4 (up to four window workers per partitioned engine). The
+# engine sizes its worker pool from GOMAXPROCS, so the two runs differ in
+# worker count on any host, a 1-CPU one included.
 par-determinism:
 	$(GO) build -o /tmp/armvirt-report ./cmd/armvirt-report
 	$(GO) build -o /tmp/armvirt-prof ./cmd/armvirt-prof
-	/tmp/armvirt-report -json -par 1 > /tmp/report-par1.json
-	/tmp/armvirt-report -json -par $(NPROC) > /tmp/report-parN.json
+	GOMAXPROCS=1 /tmp/armvirt-report -json > /tmp/report-par1.json
+	GOMAXPROCS=4 /tmp/armvirt-report -json > /tmp/report-parN.json
 	diff -u /tmp/report-par1.json /tmp/report-parN.json
-	/tmp/armvirt-prof -folded -par 1 > /tmp/prof-par1.folded
-	/tmp/armvirt-prof -folded -par $(NPROC) > /tmp/prof-parN.folded
+	GOMAXPROCS=1 /tmp/armvirt-prof -folded > /tmp/prof-par1.folded
+	GOMAXPROCS=4 /tmp/armvirt-prof -folded > /tmp/prof-parN.folded
 	diff -u /tmp/prof-par1.folded /tmp/prof-parN.folded
 
 # telemetry-determinism checks the in-sim sampler's byte-identity
 # contract: the full PD1 fleet time series (per-PCPU utilization, steal,
 # run-queue depth, exits, IRQ latency) rendered by armvirt-top must not
-# change one byte between -par 1 and -par $(NPROC). CI archives the CSV.
+# change one byte between GOMAXPROCS=1 and GOMAXPROCS=4 (one and four
+# window workers). CI archives the CSV.
 telemetry-determinism:
 	$(GO) build -o /tmp/armvirt-top ./cmd/armvirt-top
-	/tmp/armvirt-top -exp PD1 -format csv -par 1 > /tmp/telemetry-par1.csv
-	/tmp/armvirt-top -exp PD1 -format csv -par $(NPROC) > /tmp/telemetry-parN.csv
+	GOMAXPROCS=1 /tmp/armvirt-top -exp PD1 -format csv > /tmp/telemetry-par1.csv
+	GOMAXPROCS=4 /tmp/armvirt-top -exp PD1 -format csv > /tmp/telemetry-parN.csv
 	diff -u /tmp/telemetry-par1.csv /tmp/telemetry-parN.csv
-	/tmp/armvirt-top -exp PD1 -format json -par 1 > /tmp/telemetry-par1.json
-	/tmp/armvirt-top -exp PD1 -format json -par $(NPROC) > /tmp/telemetry-parN.json
+	GOMAXPROCS=1 /tmp/armvirt-top -exp PD1 -format json > /tmp/telemetry-par1.json
+	GOMAXPROCS=4 /tmp/armvirt-top -exp PD1 -format json > /tmp/telemetry-parN.json
 	diff -u /tmp/telemetry-par1.json /tmp/telemetry-parN.json
 	@grep -q ',steal,' /tmp/telemetry-par1.csv || { echo "no steal series in PD1 telemetry"; exit 1; }
-	@echo "telemetry-determinism: OK (PD1 series byte-identical at -par 1 and -par $(NPROC))"
+	@echo "telemetry-determinism: OK (PD1 series byte-identical at GOMAXPROCS=1 and GOMAXPROCS=4)"
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventDispatch|BenchmarkProcSwitch|BenchmarkQueueSendRecv' -benchmem -benchtime 100ms ./internal/sim
@@ -88,7 +90,8 @@ bench-smoke:
 # bench-json runs the perf-trajectory suite — the engine hot-path
 # microbenchmarks, the experiment-level worker pool (core.RunAll at j=1
 # vs j=NumCPU), the PDES speedup benchmark (the 8-PCPU fleet at
-# -par 1/2/4 with the engine's window/stall/outbox health counters),
+# 1, 2 and 4 window workers with the engine's window/stall/outbox health
+# counters),
 # and a serving-tier point: one replica primed cold then driven by
 # armvirt-loadgen, whose -json report benchjson folds in under
 # "loadgen" — and records it all as BENCH_9.json via armvirt-benchjson

@@ -13,7 +13,6 @@ import (
 	"os"
 
 	"armvirt/internal/bench"
-	"armvirt/internal/cliutil"
 )
 
 func main() {
@@ -21,9 +20,7 @@ func main() {
 	breakdown := flag.Bool("breakdown", false, "also print the Table III hypercall breakdown")
 	vhe := flag.Bool("vhe", false, "include the ARMv8.1 VHE configuration as an extra column")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON (structured result rows) instead of the table")
-	par := cliutil.ParFlag()
 	flag.Parse()
-	cliutil.BindPar(*par)
 
 	labels := bench.Platforms
 	if *platformFlag != "" {

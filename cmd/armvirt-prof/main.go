@@ -21,21 +21,21 @@ import (
 	"strings"
 
 	"armvirt/internal/bench"
-	"armvirt/internal/cliutil"
 	"armvirt/internal/micro"
 )
 
 func main() {
 	platformFlag := flag.String("platform", "", `profile a single platform ("KVM ARM", "Xen ARM", "KVM x86", "Xen x86", "KVM ARM (VHE)"; default all four paper platforms)`)
 	opFlag := flag.String("op", "", "profile a single operation ("+strings.Join(micro.TracedOps, ", ")+"; default all)")
-	jobs := flag.Int("j", runtime.NumCPU(), "number of units to profile in parallel (experiment-level; see also -par)")
-	par := cliutil.ParFlag()
+	jobs := flag.Int("j", runtime.NumCPU(), "number of units to profile in parallel (experiment-level)")
 	table := flag.Bool("table", false, "print per-phase breakdown tables (default when no output is selected)")
 	folded := flag.Bool("folded", false, "print collapsed-stack flamegraph lines to stdout")
 	pprofOut := flag.String("pprof", "", "write a gzipped pprof profile to this file")
 	flag.Parse()
-	cliutil.CheckJobs(*jobs)
-	cliutil.BindPar(*par)
+	if *jobs < 1 {
+		fmt.Fprintf(os.Stderr, "-j %d out of range: need at least 1 worker\n", *jobs)
+		os.Exit(2)
+	}
 
 	var labels, ops []string
 	if *platformFlag != "" {

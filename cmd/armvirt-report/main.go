@@ -16,20 +16,20 @@ import (
 	"strings"
 
 	"armvirt/internal/bench"
-	"armvirt/internal/cliutil"
 	"armvirt/internal/core"
 )
 
 func main() {
 	md := flag.Bool("md", false, "emit Markdown (the EXPERIMENTS.md body)")
 	asJSON := flag.Bool("json", false, "emit a machine-readable JSON report")
-	jobs := flag.Int("j", runtime.NumCPU(), "number of experiments to run in parallel (experiment-level; see also -par)")
-	par := cliutil.ParFlag()
+	jobs := flag.Int("j", runtime.NumCPU(), "number of experiments to run in parallel (experiment-level)")
 	only := flag.String("only", "", "run a single experiment by ID (T2, T3, T5, F4, X1, F5, E1, E2, V1, R1, PD1)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	flag.Parse()
-	cliutil.CheckJobs(*jobs)
-	cliutil.BindPar(*par)
+	if *jobs < 1 {
+		fmt.Fprintf(os.Stderr, "-j %d out of range: need at least 1 worker\n", *jobs)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range core.Experiments() {

@@ -75,7 +75,8 @@ type FuncFacts struct {
 
 	// DispatchArgs are the function values this body hands to the sim
 	// engine's dispatch surface (Go/GoAt/GoOn/At/After/SendTo and the
-	// tracer/tap setters): the roots of partitioned-dispatch reachability.
+	// process-lifecycle tap): the roots of partitioned-dispatch
+	// reachability.
 	DispatchArgs []NodeID
 	// GoSites are the `go` statements launched from this body.
 	GoSites []GoSite
@@ -84,9 +85,9 @@ type FuncFacts struct {
 
 	// BindsSim / BindsTelemetry report that the body attaches the
 	// goroutine-scoped collectors: a call to (*sim.StatsCollector).Bind,
-	// sim.CollectStats, sim.BindParallelism, or the bind function returned
-	// by sim.InheritStats (resp. (*telemetry.Collector).Bind,
-	// telemetry.Collect, or the bind returned by telemetry.Inherit).
+	// sim.CollectStats, or the bind function returned by sim.InheritStats
+	// (resp. (*telemetry.Collector).Bind, telemetry.Collect, or the bind
+	// returned by telemetry.Inherit).
 	BindsSim       bool
 	BindsTelemetry bool
 	// CreatesEngine / CreatesSampler report a direct call to
@@ -173,12 +174,12 @@ func (m *Module) FuncsOf(importPath string) []NodeID {
 
 // dispatchAPIs is the sim engine surface whose function arguments execute
 // inside partitioned dispatch: spawned process bodies, scheduled
-// callbacks, cross-partition messages, and the tracer/tap hooks the
+// callbacks, cross-partition messages, and the process-lifecycle tap the
 // engine invokes while dispatching.
 var dispatchAPIs = map[string]bool{
 	"Go": true, "GoAt": true, "GoOn": true,
 	"At": true, "After": true, "SendTo": true,
-	"SetTracer": true, "SetProcTap": true, "SetProcTapPart": true,
+	"SetProcTap": true,
 }
 
 // funcID returns the NodeID for a declared function or method.
@@ -407,7 +408,7 @@ func (m *Module) factCall(pkg *Package, bindVars map[types.Object]string, ff *Fu
 		switch fn.Name() {
 		case "NewEngine":
 			ff.CreatesEngine = true
-		case "CollectStats", "BindParallelism":
+		case "CollectStats":
 			ff.BindsSim = true
 		case "Bind":
 			if recvNamed(fn, "StatsCollector") {

@@ -4,7 +4,7 @@
 // The repo's reproducibility claim splits the module into two worlds
 // (DESIGN.md §14): the deterministic tier — everything in DetclockScope,
 // where simulated time is the only clock — and the wall-clock tier
-// (serve, cluster, runlog, cliutil), which is allowed to look at real
+// (serve, cluster, runlog), which is allowed to look at real
 // clocks, sockets, and disks. The per-package "clean" tests enforced
 // pieces of this implicitly (runlog and cluster must be detclock-clean
 // with zero wallclock waivers); layering makes the whole graph an
@@ -16,7 +16,7 @@
 //  2. Wall-tier packages reach the deterministic world only through the
 //     blessed seams: bench, core, sim, and telemetry. Engine internals
 //     (gic, hyp, hw, sched, vio, netdev, blockdev, timer, mem, cpu,
-//     micro, workload, platform, trace) are off limits — the seams exist
+//     micro, workload, platform) are off limits — the seams exist
 //     precisely so serving-tier code cannot grow ad-hoc dependencies on
 //     device models. Shared substrate (obs, stats, det) is importable
 //     from both worlds. Commands under cmd/ are composition roots and
@@ -36,7 +36,7 @@ import (
 
 // LayeringWall lists the wall-clock-tier package fragments (relative to
 // armvirt/internal/, same matching as DetclockScope).
-var LayeringWall = []string{"serve", "cluster", "runlog", "cliutil"}
+var LayeringWall = []string{"serve", "cluster", "runlog"}
 
 // layeringSeams are the deterministic packages wall-tier code may import:
 // the run/report APIs (core, bench), the engine facade (sim), and the
@@ -54,7 +54,7 @@ var layeringEngineInternal = []string{"hw", "platform"}
 // Layering is the import-DAG analyzer.
 var Layering = &Analyzer{
 	Name: "layering",
-	Doc: "deterministic packages must not import the wall tier (serve/cluster/runlog/cliutil); " +
+	Doc: "deterministic packages must not import the wall tier (serve/cluster/runlog); " +
 		"wall-tier packages reach the engine only through bench/core/sim/telemetry; " +
 		"internal/analysis is importable only by cmd/armvirt-vet",
 	Run: runLayering,

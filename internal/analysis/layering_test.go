@@ -18,7 +18,7 @@ func TestLayerFrag(t *testing.T) {
 	for path, want := range map[string]string{
 		"armvirt/internal/serve":    "serve",
 		"armvirt/internal/hyp/kvm":  "hyp",
-		"armvirt/internal/cliutil":  "cliutil",
+		"armvirt/internal/runlog":   "runlog",
 		"armvirt/cmd/armvirt-serve": "",
 		"armvirt":                   "",
 		"serve":                     "serve",

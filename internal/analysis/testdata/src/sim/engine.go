@@ -21,7 +21,7 @@ func (e *Engine) GoOn(part int, at int64, body func()) {}
 func (e *Engine) At(at int64, fn func())               {}
 func (e *Engine) After(d int64, fn func())             {}
 func (e *Engine) SendTo(part int, at int64, fn func()) {}
-func (e *Engine) SetTracer(fn func(at int64))          {}
+func (e *Engine) SetProcTap(fn func(at int64))         {}
 func (e *Engine) Run()                                 {}
 
 // StatsCollector mimics the goroutine-bound stats collector.
@@ -38,6 +38,3 @@ func InheritStats() func() func() {
 
 // CollectStats binds a fresh collector to the calling goroutine.
 func CollectStats() *StatsCollector { return &StatsCollector{} }
-
-// BindParallelism records the -par level on the bound collector.
-func BindParallelism(n int) {}

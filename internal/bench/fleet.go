@@ -24,9 +24,8 @@ type FleetResult struct {
 }
 
 // RunFleet runs the fleet scenario on a partitioned ARM machine. The
-// engine's worker count comes from the caller's parallelism binding
-// (sim.BindParallelism / the CLIs' -par flag); results are byte-identical
-// at every setting.
+// engine dispatches its windows on up to GOMAXPROCS host goroutines;
+// results are byte-identical at every worker count.
 func RunFleet() FleetResult {
 	m := platform.ARMMachinePartitioned()
 	rec := obs.NewRecorder(m.NCPU(), 1<<12)

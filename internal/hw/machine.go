@@ -177,7 +177,6 @@ func (m *Machine) SetRecorder(r *obs.Recorder) {
 	}
 	if r == nil {
 		m.Eng.SetProcTap(nil)
-		m.Eng.SetProcTapPart(nil)
 		return
 	}
 	if m.Partitioned() {
@@ -185,13 +184,9 @@ func (m *Machine) SetRecorder(r *obs.Recorder) {
 		// owns an event cursor: pcpu i's events land on partition i+1,
 		// everything else on the shared partition 0.
 		r.Partition(len(m.CPUs)+1, m.cpuPart)
-		m.Eng.SetProcTapPart(func(t sim.Time, part sim.PartID, what, name string) {
-			r.EmitPart(t, int(part), obs.ProcEvent, -1, "", -1, what+" "+name, 0)
-		})
-		return
 	}
-	m.Eng.SetProcTap(func(t sim.Time, what, name string) {
-		r.Emit(t, obs.ProcEvent, -1, "", -1, what+" "+name, 0)
+	m.Eng.SetProcTap(func(t sim.Time, part sim.PartID, what, name string) {
+		r.EmitPart(t, int(part), obs.ProcEvent, -1, "", -1, what+" "+name, 0)
 	})
 }
 

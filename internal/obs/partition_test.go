@@ -110,11 +110,14 @@ func TestSinglePartitionRecorderUnchanged(t *testing.T) {
 	r.Emit(5, GuestEnter, 0, "vm", 0, "a", 0)
 	r.Emit(5, GuestEnter, 1, "vm", 1, "b", 0)
 	r.Emit(7, IOKick, -1, "", -1, "c", 0)
+	// The engine's process tap emits through EmitPart on every machine;
+	// partition 0 is the cursor Emit uses for machine-level events.
+	r.EmitPart(9, 0, ProcEvent, -1, "", -1, "d", 0)
 	evs := r.Events()
-	if len(evs) != 3 || evs[0].Seq != 1 || evs[1].Seq != 2 || evs[2].Seq != 3 {
+	if len(evs) != 4 || evs[0].Seq != 1 || evs[1].Seq != 2 || evs[2].Seq != 3 || evs[3].Seq != 4 {
 		t.Fatalf("single-partition seq order broken: %+v", evs)
 	}
-	if evs[0].Detail != "a" || evs[1].Detail != "b" || evs[2].Detail != "c" {
+	if evs[0].Detail != "a" || evs[1].Detail != "b" || evs[2].Detail != "c" || evs[3].Detail != "d" {
 		t.Fatalf("single-partition order broken: %+v", evs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -33,22 +34,24 @@ func TestTimeseriesColdWarmEquivalence(t *testing.T) {
 	}
 }
 
-// TestTimeseriesParIndependence: par is a host execution knob, not a cache
-// key — the series are byte-identical at every worker count, so computes on
-// fresh servers at different par levels must agree.
+// TestTimeseriesParIndependence: the engine's host worker count follows
+// GOMAXPROCS and is not a cache key — the series are byte-identical at
+// every worker count, so computes on fresh servers under different
+// GOMAXPROCS must agree.
 func TestTimeseriesParIndependence(t *testing.T) {
-	render := func(par string) []byte {
+	render := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		s := New(Config{})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
-		status, body, xc := get(t, ts, "/v1/experiments/PD1/timeseries?format=csv&par="+par)
+		status, body, xc := get(t, ts, "/v1/experiments/PD1/timeseries?format=csv")
 		if status != http.StatusOK || xc != "miss" {
-			t.Fatalf("par=%s: status=%d X-Cache=%q body=%s", par, status, xc, body)
+			t.Fatalf("GOMAXPROCS=%d: status=%d X-Cache=%q body=%s", procs, status, xc, body)
 		}
 		return body
 	}
-	if a, b := render("1"), render("8"); !bytes.Equal(a, b) {
-		t.Error("timeseries differ between par=1 and par=8")
+	if a, b := render(1), render(4); !bytes.Equal(a, b) {
+		t.Error("timeseries differ between GOMAXPROCS 1 and 4")
 	}
 }
 
@@ -101,8 +104,6 @@ func TestTimeseriesErrorPaths(t *testing.T) {
 	}{
 		{"/v1/experiments/NOPE/timeseries", http.StatusNotFound},
 		{"/v1/experiments/PD1/timeseries?format=xml", http.StatusBadRequest},
-		{"/v1/experiments/PD1/timeseries?par=0", http.StatusBadRequest},
-		{"/v1/experiments/PD1/timeseries?par=banana", http.StatusBadRequest},
 	} {
 		if status, body, _ := get(t, ts, c.path); status != c.want {
 			t.Errorf("GET %s: status %d, want %d (body %s)", c.path, status, c.want, body)

@@ -20,6 +20,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -170,7 +171,7 @@ type xmsg struct {
 // quantum windows in which partitions dispatch concurrently, separated by
 // barriers that exchange cross-partition messages in a deterministic
 // order. The algorithm is identical at every worker count, so output is
-// byte-identical from -par 1 to -par N.
+// byte-identical however many host threads dispatch the windows.
 type Engine struct {
 	root  shard
 	parts []*shard // parts[0] == &root; more after AddPartition
@@ -181,8 +182,8 @@ type Engine struct {
 	// width safe to dispatch without hearing from other partitions.
 	lookahead Time
 	// workers bounds the host goroutines dispatching windows (default:
-	// the parallelism bound to the creating goroutine, see
-	// BindParallelism). Only meaningful on multi-partition engines.
+	// runtime.GOMAXPROCS at NewEngine). Only meaningful on
+	// multi-partition engines.
 	workers int
 	// shardOf maps goroutine id -> the shard it is executing (multi
 	// mode only): fiber goroutines for life, window workers per window.
@@ -193,18 +194,16 @@ type Engine struct {
 	// to distinguish setup-time SendTo/GoOn from run-time calls).
 	inRun bool
 
-	tracer      func(t Time, what string)
-	procTap     func(t Time, what, name string)
-	procTapPart func(t Time, part PartID, what, name string)
+	procTap func(t Time, part PartID, what, name string)
 }
 
 // NewEngine returns an engine with the clock at zero, an empty queue, and
 // a single partition. If a StatsCollector is bound to the calling
-// goroutine (see CollectStats), the engine registers with it; the worker
-// count for multi-partition runs is taken from the goroutine's bound
-// parallelism (BindParallelism), defaulting to 1.
+// goroutine (see CollectStats), the engine registers with it. A
+// multi-partition run dispatches its windows on up to GOMAXPROCS host
+// goroutines (SetWorkers overrides); the count never affects results.
 func NewEngine() *Engine {
-	e := &Engine{workers: BoundParallelism()}
+	e := &Engine{workers: runtime.GOMAXPROCS(0)}
 	e.root.eng = e
 	e.root.id = 0
 	e.root.name = "shared"
@@ -249,42 +248,18 @@ func (e *Engine) Now() Time {
 	return t
 }
 
-// SetTracer installs a callback invoked for engine-level trace points
-// (process start/exit). Pass nil to disable. On a multi-partition engine
-// the callback runs concurrently from window workers; prefer
-// SetProcTapPart, which identifies the partition so per-partition
-// consumers stay race-free.
-func (e *Engine) SetTracer(fn func(t Time, what string)) { e.tracer = fn }
+// SetProcTap installs the process-lifecycle tap: fn receives the
+// partition the process lives on (0 on a single-partition engine), the
+// event verb ("start", "exit") and the process name. On a multi-partition
+// engine fn runs concurrently from window workers, so consumers keep
+// per-partition state to stay race-free and deterministic. Pass nil to
+// disable.
+func (e *Engine) SetProcTap(fn func(t Time, part PartID, what, name string)) { e.procTap = fn }
 
-// SetProcTap installs a structured process-lifecycle tap: fn receives the
-// event verb ("start", "exit") and the process name separately, without
-// the string assembly SetTracer's flat form requires. Pass nil to disable.
-// Observability layers use this to publish fiber lifecycles as typed
-// events.
-func (e *Engine) SetProcTap(fn func(t Time, what, name string)) { e.procTap = fn }
-
-// SetProcTapPart installs the partition-aware process-lifecycle tap used
-// on multi-partition engines: fn additionally receives the partition the
-// process belongs to, so consumers can keep per-partition cursors and stay
-// deterministic under parallel dispatch. When set, it takes precedence
-// over SetProcTap.
-func (e *Engine) SetProcTapPart(fn func(t Time, part PartID, what, name string)) {
-	e.procTapPart = fn
-}
-
-// noteProc reports a process-lifecycle event to the taps. The flat tracer
-// string stays "<what> <name>", which tests and tools depend on.
+// noteProc reports a process-lifecycle event to the tap.
 func (s *shard) noteProc(what string, p *Proc) {
-	e := s.eng
-	if e.tracer != nil {
-		e.tracer(s.now, what+" "+p.name)
-	}
-	if e.procTapPart != nil {
-		e.procTapPart(s.now, s.id, what, p.name)
-		return
-	}
-	if e.procTap != nil {
-		e.procTap(s.now, what, p.name)
+	if tap := s.eng.procTap; tap != nil {
+		tap(s.now, s.id, what, p.name)
 	}
 }
 

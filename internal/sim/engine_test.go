@@ -464,7 +464,12 @@ func TestWaiterReuseAcrossRepeatedTimeouts(t *testing.T) {
 func TestTracerSeesStartAndExit(t *testing.T) {
 	e := NewEngine()
 	var events []string
-	e.SetTracer(func(_ Time, what string) { events = append(events, what) })
+	e.SetProcTap(func(_ Time, part PartID, what, name string) {
+		if part != 0 {
+			t.Errorf("%s %s on partition %d, want 0", what, name, part)
+		}
+		events = append(events, what+" "+name)
+	})
 	e.Go("x", func(p *Proc) { p.Sleep(1) })
 	e.Run()
 	if len(events) != 2 || events[0] != "start x" || events[1] != "exit x" {

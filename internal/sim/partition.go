@@ -72,9 +72,8 @@ func (e *Engine) SetLookahead(d Time) {
 func (e *Engine) Lookahead() Time { return e.lookahead }
 
 // SetWorkers overrides the number of host goroutines that dispatch quantum
-// windows (normally inherited from BindParallelism at NewEngine). Values
-// < 1 mean 1. The worker count never affects results, only wall-clock
-// time.
+// windows (runtime.GOMAXPROCS at NewEngine). Values < 1 mean 1. The
+// worker count never affects results, only wall-clock time.
 func (e *Engine) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -143,7 +142,7 @@ func (e *Engine) runQuanta(deadline Time, hasDeadline bool) {
 	}
 	var pool *windowPool
 	if workers > 1 {
-		pool = newWindowPool(workers)
+		pool = newWindowPool(workers, len(e.parts))
 		defer pool.close()
 	}
 	active := make([]*shard, 0, len(e.parts))
@@ -269,34 +268,59 @@ func (e *Engine) drainOutboxes(scratch []xmsg) []xmsg {
 type windowPool struct {
 	jobs chan windowJob
 	wg   sync.WaitGroup
+	// faults[i] is the panic raised by the window of the i-th active
+	// shard, re-raised on the coordinator after the barrier. A panic ends
+	// the run, so entries never need resetting.
+	faults []any
 }
 
 type windowJob struct {
+	i     int
 	s     *shard
 	limit Time
 }
 
-func newWindowPool(n int) *windowPool {
-	p := &windowPool{jobs: make(chan windowJob)}
+// newWindowPool starts n workers for an engine with parts partitions.
+func newWindowPool(n, parts int) *windowPool {
+	p := &windowPool{jobs: make(chan windowJob), faults: make([]any, parts)}
 	for i := 0; i < n; i++ {
 		go func() {
 			for j := range p.jobs {
-				j.s.window(j.limit)
-				p.wg.Done()
+				p.run(j)
 			}
 		}()
 	}
 	return p
 }
 
+// run dispatches one window on a pool worker. A panic inside it is
+// recorded instead of killing the process, so it reaches the Run caller
+// exactly as it does when windows run inline.
+func (p *windowPool) run(j windowJob) {
+	defer p.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			p.faults[j.i] = r
+		}
+	}()
+	j.s.window(j.limit)
+}
+
 // dispatch runs one window across the pool and blocks until every active
-// shard has finished it (the barrier).
+// shard has finished it (the barrier). If any window panicked, the panic
+// of the lowest-numbered one — the one a single worker would have hit
+// first — is re-raised here.
 func (p *windowPool) dispatch(active []*shard, limit Time) {
 	p.wg.Add(len(active))
-	for _, s := range active {
-		p.jobs <- windowJob{s: s, limit: limit}
+	for i, s := range active {
+		p.jobs <- windowJob{i: i, s: s, limit: limit}
 	}
 	p.wg.Wait()
+	for _, r := range p.faults[:len(active)] {
+		if r != nil {
+			panic(r)
+		}
+	}
 }
 
 func (p *windowPool) close() { close(p.jobs) }

@@ -44,7 +44,7 @@ func TestPartitionedStatsHealthCounters(t *testing.T) {
 
 // TestPartitionedStatsDeterministicAcrossWorkers: the health counters are
 // simulated-time quantities, so they are identical at every host worker
-// count — BENCH comparisons across -par levels are apples to apples.
+// count — BENCH comparisons across worker counts are apples to apples.
 func TestPartitionedStatsDeterministicAcrossWorkers(t *testing.T) {
 	_, base, _ := partitionedRun(t, 1, 7, 50000)
 	for _, workers := range []int{2, 4, 8} {

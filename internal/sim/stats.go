@@ -173,34 +173,30 @@ func (c *StatsCollector) PerEngine() []EngineStats {
 	return out
 }
 
-// binding is the per-goroutine configuration engines inherit at NewEngine:
-// the stats collector they register with and the window-dispatch
-// parallelism multi-partition engines run at. Both halves are scoped the
-// same way (a detach restores the previous value) and propagate together
-// through InheritStats.
-type binding struct {
-	col *StatsCollector
-	par int // 0 = unset (engines default to 1 worker)
-}
-
-// boundCollectors maps goroutine id -> the binding attached to it.
-// Bindings are strictly scoped (Bind/BindParallelism return the detach
-// that restores the previous binding), so the map stays small: one entry
-// per goroutine currently inside a bound region.
+// boundCollectors maps goroutine id -> the collector bound to it.
+// Bindings are strictly scoped (Bind returns the detach that restores the
+// previous binding), so the map stays small: one entry per goroutine
+// currently inside a bound region.
 var boundCollectors struct {
 	mu sync.Mutex
-	m  map[uint64]binding
+	m  map[uint64]*StatsCollector
 }
 
-// setBinding installs b for goroutine g and returns a detach restoring the
-// previous state. Callers hold no lock.
-func setBinding(g uint64, b binding) (detach func()) {
+// Bind attaches c to the calling goroutine: every NewEngine on this
+// goroutine registers with c until the returned detach runs. Bindings
+// nest; detach restores the previous one. A nil receiver binds nothing
+// and returns a no-op detach.
+func (c *StatsCollector) Bind() (detach func()) {
+	if c == nil {
+		return func() {}
+	}
+	g := goid()
 	boundCollectors.mu.Lock()
 	if boundCollectors.m == nil {
-		boundCollectors.m = make(map[uint64]binding)
+		boundCollectors.m = make(map[uint64]*StatsCollector)
 	}
 	prev, hadPrev := boundCollectors.m[g]
-	boundCollectors.m[g] = b
+	boundCollectors.m[g] = c
 	boundCollectors.mu.Unlock()
 	return func() {
 		boundCollectors.mu.Lock()
@@ -213,12 +209,12 @@ func setBinding(g uint64, b binding) (detach func()) {
 	}
 }
 
-// getBinding returns the binding attached to goroutine g (zero if none).
-func getBinding(g uint64) binding {
+// getBinding returns the collector bound to goroutine g (nil if none).
+func getBinding(g uint64) *StatsCollector {
 	boundCollectors.mu.Lock()
-	b := boundCollectors.m[g]
+	c := boundCollectors.m[g]
 	boundCollectors.mu.Unlock()
-	return b
+	return c
 }
 
 // goid returns the calling goroutine's id, parsed from the runtime.Stack
@@ -241,59 +237,16 @@ func goid() uint64 {
 // attachToBoundCollector registers e with the collector bound to the
 // calling goroutine, if any. Called by NewEngine.
 func attachToBoundCollector(e *Engine) {
-	if c := getBinding(goid()).col; c != nil {
+	if c := getBinding(goid()); c != nil {
 		c.attach(e)
 	}
 }
 
-// Bind attaches c to the calling goroutine: every NewEngine on this
-// goroutine registers with c until the returned detach runs. Bindings
-// nest; detach restores the previous one (the goroutine's bound
-// parallelism is untouched). A nil receiver binds nothing and returns a
-// no-op detach.
-func (c *StatsCollector) Bind() (detach func()) {
-	if c == nil {
-		return func() {}
-	}
-	g := goid()
-	b := getBinding(g)
-	b.col = c
-	return setBinding(g, b)
-}
-
-// BindParallelism binds an engine-parallelism level to the calling
-// goroutine: every NewEngine on this goroutine until the returned detach
-// runs adopts n as its window-dispatch worker count (the -par knob). The
-// value only matters for multi-partition engines and never affects
-// results, only wall-clock time. Values < 1 are treated as 1. The binding
-// nests and propagates through InheritStats exactly like the stats
-// collector, so worker pools carry it unchanged.
-func BindParallelism(n int) (detach func()) {
-	if n < 1 {
-		n = 1
-	}
-	g := goid()
-	b := getBinding(g)
-	b.par = n
-	return setBinding(g, b)
-}
-
-// BoundParallelism returns the engine-parallelism level bound to the
-// calling goroutine (1 when unbound).
-func BoundParallelism() int {
-	if p := getBinding(goid()).par; p > 0 {
-		return p
-	}
-	return 1
-}
-
-// InheritStats captures the calling goroutine's binding — the stats
-// collector and the bound engine parallelism — and returns a bind
-// function for a spawned worker goroutine to call at its top; bind
-// returns the worker's detach. With nothing bound, both are no-ops.
-// Worker pools use this so engines created on their workers still
-// register with the spawning request's collector and run at its
-// parallelism:
+// InheritStats captures the calling goroutine's bound collector and
+// returns a bind function for a spawned worker goroutine to call at its
+// top; bind returns the worker's detach. With nothing bound, both are
+// no-ops. Worker pools use this so engines created on their workers still
+// register with the spawning request's collector:
 //
 //	bind := sim.InheritStats()
 //	go func() {
@@ -302,13 +255,8 @@ func BoundParallelism() int {
 //		...
 //	}()
 func InheritStats() (bind func() (detach func())) {
-	b := getBinding(goid())
-	return func() func() {
-		if b == (binding{}) {
-			return func() {}
-		}
-		return setBinding(goid(), b)
-	}
+	c := getBinding(goid())
+	return func() func() { return c.Bind() }
 }
 
 // CollectStats runs fn with a fresh collector bound to the calling

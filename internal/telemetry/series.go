@@ -53,7 +53,7 @@ type Series struct {
 // snapshot: columns are summed (or elementwise maximized for gauges)
 // across partitions and emitted in sorted key order, histograms merged per
 // CPU. The result is a pure function of the recorded samples — identical
-// at every -par/-j level. Returns an empty snapshot on a nil sampler.
+// at every engine worker count and -j level. Returns an empty snapshot on a nil sampler.
 func (s *Sampler) Series() Series {
 	if s == nil {
 		return Series{}

@@ -20,8 +20,8 @@
 // samples, pcpu < 0, belong to the shared partition 0) — the same
 // discipline the recorder's EmitPart enforces, checked by the race
 // detector in tests. Because per-bucket merge is elementwise sum (or max
-// for gauges), the merged series are byte-identical across -par and -j
-// levels.
+// for gauges), the merged series are byte-identical at any engine worker
+// count and -j level.
 //
 // A nil *Sampler is a valid no-op recorder: every exported method begins
 // with the nil guard, so unsampled runs pay only a nil check (the

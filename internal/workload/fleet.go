@@ -115,8 +115,8 @@ type fleetToken struct {
 // cross-CPU traffic therefore rides the machine's IPI path — exactly the
 // lookahead-bounded channel a partitioned machine routes through SendTo —
 // while the token churn stays CPU-local. The per-CPU checksums fold every
-// hop with its simulated timestamp, so a byte-identical claim across -par
-// levels is falsifiable from the result alone.
+// hop with its simulated timestamp, so a byte-identical claim across
+// engine worker counts is falsifiable from the result alone.
 func Fleet(m *hw.Machine, pr FleetParams) FleetResult {
 	pr = pr.withDefaults()
 	eng := m.Eng
