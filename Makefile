@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race flake vet lint fmt-check bench report-diff prof-determinism par-determinism telemetry-determinism bench-smoke bench-json serve-smoke cluster-smoke ci
+.PHONY: all build test race flake vet lint fmt-check bench report-diff prof-determinism par-determinism telemetry-determinism bench-smoke armbench-smoke bench-json serve-smoke cluster-smoke ci
 
 all: build test
 
@@ -84,8 +84,27 @@ telemetry-determinism:
 	@grep -q ',steal,' /tmp/telemetry-par1.csv || { echo "no steal series in PD1 telemetry"; exit 1; }
 	@echo "telemetry-determinism: OK (PD1 series byte-identical at GOMAXPROCS=1 and GOMAXPROCS=4)"
 
+# bench-smoke runs the engine hot-path microbenchmarks briefly, plus one
+# iteration of the fleet on the partitioned engine at one window worker and
+# on the serial engine, so the partitioned path runs under a benchmark too.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventDispatch|BenchmarkProcSwitch|BenchmarkQueueSendRecv' -benchmem -benchtime 100ms ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetSpeedup/par=1$$|BenchmarkFleetSerialEngine' -benchmem -benchtime 1x ./internal/workload
+
+# armbench-smoke runs the end-to-end benchmark (armbench/) briefly: its own
+# tests, the fleet workload untraced and traced, and the traced study
+# workload. Each run must exit 0 and end with "correct":true; a panic in a
+# traced probe exits 2 and fails here.
+armbench-smoke:
+	cd armbench && $(GO) test ./...
+	@set -e; \
+	for run in "fleet 0" "fleet 1" "study 1"; do \
+	  set -- $$run; \
+	  echo "armbench-smoke: --workload $$1 --trace $$2"; \
+	  bash armbench/run.sh --workload $$1 --seed 1 --seconds 2 --trace $$2 > /tmp/armbench-smoke.txt || { cat /tmp/armbench-smoke.txt; exit 1; }; \
+	  tail -n 1 /tmp/armbench-smoke.txt | grep -q '"correct":true' || { cat /tmp/armbench-smoke.txt; exit 1; }; \
+	done; \
+	echo "armbench-smoke: OK (armbench tests; fleet untraced and traced, traced study: exit 0, correct)"
 
 # bench-json runs the perf-trajectory suite — the engine hot-path
 # microbenchmarks, the experiment-level worker pool (core.RunAll at j=1
@@ -228,4 +247,4 @@ cluster-smoke:
 	kill -TERM $$p4; wait $$p4; \
 	echo "cluster-smoke: OK (exactly-once cold, byte identity, rolling drain with zero errors, disk-tier warm restart)"
 
-ci: fmt-check lint build race flake report-diff prof-determinism par-determinism telemetry-determinism bench-smoke bench-json serve-smoke cluster-smoke
+ci: fmt-check lint build race flake report-diff prof-determinism par-determinism telemetry-determinism bench-smoke armbench-smoke bench-json serve-smoke cluster-smoke

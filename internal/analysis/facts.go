@@ -175,7 +175,9 @@ func (m *Module) FuncsOf(importPath string) []NodeID {
 // dispatchAPIs is the sim engine surface whose function arguments execute
 // inside partitioned dispatch: spawned process bodies, scheduled
 // callbacks, cross-partition messages, and the process-lifecycle tap the
-// engine invokes while dispatching.
+// engine invokes while dispatching. The surface lives on two receivers:
+// Engine (the ambient forms) and Proc (the context forms Go, At, After
+// and SendTo, which act on the process's own partition).
 var dispatchAPIs = map[string]bool{
 	"Go": true, "GoAt": true, "GoOn": true,
 	"At": true, "After": true, "SendTo": true,
@@ -415,7 +417,7 @@ func (m *Module) factCall(pkg *Package, bindVars map[types.Object]string, ff *Fu
 				ff.BindsSim = true
 			}
 		}
-		if dispatchAPIs[fn.Name()] && recvNamed(fn, "Engine") {
+		if dispatchAPIs[fn.Name()] && (recvNamed(fn, "Engine") || recvNamed(fn, "Proc")) {
 			for _, arg := range call.Args {
 				if tv, ok := info.Types[arg]; ok {
 					if _, isSig := tv.Type.Underlying().(*types.Signature); !isSig {

@@ -1,6 +1,7 @@
 // Stand-in engine API for the cross-package analyzers: a named type
 // Engine (dispatch surface Go/GoAt/GoOn/At/After/SendTo plus the tracer
-// hook) and the goroutine-bound stats collector, in a package named sim —
+// hook), a named type Proc (the context forms Go/At/After/SendTo) and the
+// goroutine-bound stats collector, in a package named sim —
 // which is all partsafe and bindcheck key on, so fixtures exercise them
 // without importing the real engine. No clocks, no randomness: this file
 // must stay silent under detclock.
@@ -23,6 +24,16 @@ func (e *Engine) After(d int64, fn func())             {}
 func (e *Engine) SendTo(part int, at int64, fn func()) {}
 func (e *Engine) SetProcTap(fn func(at int64))         {}
 func (e *Engine) Run()                                 {}
+
+// Proc mimics a simulated process and its context-form dispatch surface.
+type Proc struct {
+	part int
+}
+
+func (p *Proc) Go(body func())                       {}
+func (p *Proc) At(at int64, fn func())               {}
+func (p *Proc) After(d int64, fn func())             {}
+func (p *Proc) SendTo(part int, at int64, fn func()) {}
 
 // StatsCollector mimics the goroutine-bound stats collector.
 type StatsCollector struct{ n int64 }

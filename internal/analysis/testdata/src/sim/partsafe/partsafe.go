@@ -46,6 +46,20 @@ func helper() {
 	hits-- // want `writes package-level partsafe.hits`
 }
 
+// ProcForms hands callbacks to the process-context forms, which dispatch
+// exactly as the engine's ambient forms do.
+func ProcForms(p *sim.Proc) {
+	p.After(5, func() {
+		hits++ // want `writes package-level partsafe.hits`
+	})
+	p.SendTo(1, 20, procTick)
+}
+
+// procTick is dispatch-reachable through the p.SendTo above.
+func procTick() {
+	table["z"] = 2 // want `writes package-level partsafe.table`
+}
+
 // Host runs on the host side only — nothing hands it to dispatch — so
 // its global write is legal.
 func Host() {

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"armvirt/internal/sim"
 )
 
 // TestRunOneRecoversPanic pins the recovery contract the serve layer and
@@ -40,5 +42,29 @@ func TestRunOneRecoversPanic(t *testing.T) {
 	good := RunOne(*e)
 	if good.Err != nil || good.Result == nil {
 		t.Fatalf("registry experiment failed after recovery: err=%v result=%v", good.Err, good.Result)
+	}
+}
+
+// TestRunOneRecoversFiberPanic: a panic inside a simulated process body
+// runs on the process's own goroutine; the engine re-raises it on the
+// goroutine that called Run, so RunOne reports it like any other panic.
+func TestRunOneRecoversFiberPanic(t *testing.T) {
+	bad := Experiment{
+		ID:    "FIBER",
+		Title: "panicking process body",
+		Kind:  Extension,
+		Run: func() Result {
+			e := sim.NewEngine()
+			e.Go("boom", func(p *sim.Proc) {
+				p.Sleep(1)
+				panic("proc boom")
+			})
+			e.Run()
+			return nil
+		},
+	}
+	rep := RunOne(bad)
+	if rep.Err == nil || !strings.Contains(rep.Err.Error(), "proc boom") {
+		t.Fatalf("RunOne(fiber panic) error = %v, want it to carry the panic", rep.Err)
 	}
 }

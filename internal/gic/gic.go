@@ -92,26 +92,31 @@ type Distributor struct {
 }
 
 // deliver stamps the delivery for observability and hands it to the sink.
-// It always runs on the target CPU's partition, so the telemetry count
-// lands in that partition's buffer.
+// It always runs on the target CPU's partition, so it reads that
+// partition's clock and the telemetry count lands in its buffer.
 func (d *Distributor) deliver(dv Delivery) {
-	now := d.eng.Now()
+	now := d.eng.PartNow(d.part(dv.CPU))
 	dv.At = now
 	d.Rec.Emit(now, obs.PhysIRQ, dv.CPU, "", -1, dv.IRQ.Class(), int64(dv.IRQ))
 	d.Tel.Count(now, dv.CPU, telemetry.CtrGICDelivery, 1)
 	d.sink(dv)
 }
 
-// send propagates a delivery to its target CPU after the wire latency,
-// routing it to the CPU's partition on a partitioned engine (SendTo is
-// After on the sender's own partition, so the unpartitioned path is
-// unchanged).
-func (d *Distributor) send(dv Delivery) {
-	if d.PartOf != nil {
-		d.eng.SendTo(d.PartOf(dv.CPU), d.wire, func() { d.deliver(dv) })
-		return
+// part returns the engine partition cpu's deliveries execute on: partition
+// 0 on an unpartitioned machine.
+func (d *Distributor) part(cpu int) sim.PartID {
+	if d.PartOf == nil {
+		return 0
 	}
-	d.eng.After(d.wire, func() { d.deliver(dv) })
+	return d.PartOf(cpu)
+}
+
+// send propagates a device delivery to its target CPU's partition after
+// the wire latency (SendTo is After on the sender's own partition, so the
+// unpartitioned path is unchanged). Device interrupts are raised from
+// engine callbacks, which send from the partition ambient calls act on.
+func (d *Distributor) send(dv Delivery) {
+	d.eng.SendTo(d.part(dv.CPU), d.wire, func() { d.deliver(dv) })
 }
 
 // NewDistributor creates a distributor for nCPU physical CPUs. Deliveries
@@ -151,15 +156,18 @@ func (d *Distributor) SetTarget(irq IRQ, cpu int) {
 // Target returns the routing target of an SPI (default CPU 0).
 func (d *Distributor) Target(irq IRQ) int { return d.target[irq] }
 
-// SendSGI dispatches a software-generated interrupt (IPI) to a CPU. The
-// sender has already paid its ICC_SGI1R/GICD_SGIR write cost; propagation
-// through the distribution fabric takes the wire latency.
-func (d *Distributor) SendSGI(to int, irq IRQ) {
+// SendSGI dispatches a software-generated interrupt (IPI) from process p
+// to a CPU. The sender has already paid its ICC_SGI1R/GICD_SGIR write
+// cost; propagation through the distribution fabric takes the wire
+// latency. The delivery leaves from p's partition, so it is exact in a
+// window dispatched in parallel.
+func (d *Distributor) SendSGI(p *sim.Proc, to int, irq IRQ) {
 	if irq > LastSGI {
 		panic(fmt.Sprintf("gic: SendSGI with %v (%s)", irq, irq.Class()))
 	}
 	d.checkCPU(to)
-	d.send(Delivery{CPU: to, IRQ: irq})
+	dv := Delivery{CPU: to, IRQ: irq}
+	p.SendTo(d.part(to), d.wire, func() { d.deliver(dv) })
 }
 
 // RaisePPI delivers a private peripheral interrupt (e.g. a timer) to its CPU.

@@ -213,11 +213,11 @@ func (m *Machine) SendIPI(p *sim.Proc, to int, irq gic.IRQ) {
 	m.Rec.ChargeCycles(p, "IPI send", int64(m.Cost.IPISend))
 	p.Sleep(sim.Time(m.Cost.IPISend))
 	if m.Arch == cpu.ARM {
-		m.Dist.SendSGI(to, irq)
+		m.Dist.SendSGI(p, to, irq)
 		return
 	}
-	m.Eng.SendTo(m.PartOf(to), sim.Time(m.Cost.IPIWire), func() {
-		now := m.Eng.Now()
+	p.SendTo(m.PartOf(to), sim.Time(m.Cost.IPIWire), func() {
+		now := m.Eng.PartNow(m.PartOf(to))
 		m.Rec.Emit(now, obs.PhysIRQ, to, "", -1, "IPI", int64(irq))
 		m.Tel.Count(now, to, telemetry.CtrGICDelivery, 1)
 		m.CPUs[to].IRQ.Send(gic.Delivery{CPU: to, IRQ: irq, At: now})
@@ -235,7 +235,7 @@ func (m *Machine) RaiseDeviceIRQ(irq gic.IRQ, target int) {
 		return
 	}
 	m.Eng.SendTo(m.PartOf(target), sim.Time(m.Cost.IPIWire), func() {
-		now := m.Eng.Now()
+		now := m.Eng.PartNow(m.PartOf(target))
 		m.Rec.Emit(now, obs.PhysIRQ, target, "", -1, "MSI", int64(irq))
 		m.Tel.Count(now, target, telemetry.CtrGICDelivery, 1)
 		m.CPUs[target].IRQ.Send(gic.Delivery{CPU: target, IRQ: irq, At: now})

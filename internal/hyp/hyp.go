@@ -100,7 +100,8 @@ type VCPU struct {
 }
 
 // Emit publishes a structured observability event for this VCPU, stamped
-// with the current simulation time and the VCPU's pinned physical CPU.
+// with the VCPU's pinned physical CPU and that CPU's partition clock (the
+// current simulation time; VCPU work runs on its CPU's partition).
 // No-op when the machine has no recorder attached. Emit is also the
 // telemetry choke point: every hypervisor implementation publishes
 // GuestEnter/GuestExit through here, so the guest-mode utilization series
@@ -108,8 +109,8 @@ type VCPU struct {
 // hypervisor model.
 func (v *VCPU) Emit(k obs.Kind, detail string, arg int64) {
 	m := v.VM.Hyp.Machine()
-	now := m.Eng.Now()
 	pcpu := v.CPU.P.ID()
+	now := m.Eng.PartNow(m.PartOf(pcpu))
 	switch k {
 	case obs.GuestEnter:
 		v.EnterT = now

@@ -151,7 +151,7 @@ func (d *Dispatcher) ExecOn(p *sim.Proc, i int, cost sim.Time) {
 // index used.
 func (d *Dispatcher) ExecBalanced(p *sim.Proc, cost sim.Time) int {
 	i := d.LeastLoaded()
-	d.Rec.Emit(d.eng.Now(), obs.SchedDecision, i, "", -1, "least-loaded", int64(cost))
+	d.Rec.Emit(p.Now(), obs.SchedDecision, i, "", -1, "least-loaded", int64(cost))
 	d.ExecOn(p, i, cost)
 	return i
 }

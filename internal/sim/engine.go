@@ -16,13 +16,23 @@
 // Processes advance time with Proc.Sleep, exchange data through Queue, and
 // coordinate through Cond and Resource. Plain callbacks can be scheduled
 // with Engine.At; callbacks run inline in the engine and must not block.
+//
+// Scheduling comes in two forms. The context forms (Proc.At, Proc.After,
+// Proc.SendTo, Proc.Go) act on the partition the process lives on, and a
+// callback routed to a partition reads that partition's clock with
+// PartNow. The ambient forms (Engine.At, After, SendTo, Go, GoAt, Now,
+// Stop) resolve the partition without any lookup: on a single-partition
+// engine, or outside a run, they act on partition 0; during a run they
+// act on the partition whose window the Run caller is dispatching inline
+// (one window worker, or a window with one active partition). Inside a
+// window dispatched across several workers no single partition is
+// current, so an ambient call panics and names the context form to use.
 package sim
 
 import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -118,6 +128,7 @@ type shard struct {
 	limit   Time          // inclusive dispatch bound for the current window / RunUntil
 	hasLim  bool
 	stopped bool
+	fault   any // panic that ended a fiber, re-raised by the loop's owner
 	procs   map[*Proc]struct{}
 
 	// Cross-partition outbox: messages produced by this shard during a
@@ -172,6 +183,12 @@ type xmsg struct {
 // barriers that exchange cross-partition messages in a deterministic
 // order. The algorithm is identical at every worker count, so output is
 // byte-identical however many host threads dispatch the windows.
+//
+// The ambient methods (At, After, SendTo, Go, GoAt, Now, Stop) act on
+// partition 0 of a single-partition engine or outside a run, and on the
+// partition whose window the Run caller dispatches inline during one;
+// inside a window dispatched in parallel they panic, and code there uses
+// the Proc forms instead (see the package comment).
 type Engine struct {
 	root  shard
 	parts []*shard // parts[0] == &root; more after AddPartition
@@ -185,9 +202,10 @@ type Engine struct {
 	// runtime.GOMAXPROCS at NewEngine). Only meaningful on
 	// multi-partition engines.
 	workers int
-	// shardOf maps goroutine id -> the shard it is executing (multi
-	// mode only): fiber goroutines for life, window workers per window.
-	shardOf sync.Map
+	// inline is the shard whose window the Run caller is dispatching on
+	// its own goroutine (multi mode only); nil while a window runs on
+	// the worker pool. Ambient calls during a run resolve to it.
+	inline *shard
 	// stopAll requests a full stop at the next quantum barrier.
 	stopAll atomic.Bool
 	// inRun is true while Run/RunUntil is executing (multi mode uses it
@@ -214,30 +232,34 @@ func NewEngine() *Engine {
 	return e
 }
 
-// cur resolves the shard the calling goroutine is executing. On a
-// single-partition engine this is always the root shard; on a
-// multi-partition engine fibers and window workers are registered in
-// shardOf, and unregistered goroutines (setup code, the Run caller)
-// resolve to partition 0.
+// errAmbient is the panic an ambient call raises inside a window
+// dispatched in parallel, where no single partition is current.
+const errAmbient = "sim: ambient Engine call inside a window dispatched in parallel; " +
+	"use the Proc form (p.At, p.After, p.SendTo, p.Go) or PartNow for the partition's clock"
+
+// cur returns the shard ambient calls act on: the root shard on a
+// single-partition engine or outside a run, and during a run the shard
+// whose window the Run caller is dispatching inline. It panics inside a
+// window dispatched in parallel.
 func (e *Engine) cur() *shard {
-	if !e.multi {
+	if !e.multi || !e.inRun {
 		return &e.root
 	}
-	if v, ok := e.shardOf.Load(goid()); ok {
-		return v.(*shard)
+	if s := e.inline; s != nil {
+		return s
 	}
-	return &e.root
+	panic(errAmbient)
 }
 
-// Now returns the current virtual time: the calling context's partition
-// clock while the simulation is running, or the furthest partition clock
-// (the machine's elapsed time) when called from outside.
+// Now returns the current virtual time: during a run, the clock of the
+// partition ambient calls act on (see cur); outside a run, the furthest
+// partition clock (the machine's elapsed time).
 func (e *Engine) Now() Time {
 	if !e.multi {
 		return e.root.now
 	}
-	if v, ok := e.shardOf.Load(goid()); ok {
-		return v.(*shard).now
+	if e.inRun {
+		return e.cur().now
 	}
 	var t Time
 	for _, s := range e.parts {
@@ -247,6 +269,12 @@ func (e *Engine) Now() Time {
 	}
 	return t
 }
+
+// PartNow returns partition part's clock. Code running on that partition
+// (one of its processes, or a callback SendTo routed there) reads its own
+// clock this way without resolving the calling context, so it is exact
+// inside a window dispatched in parallel.
+func (e *Engine) PartNow(part PartID) Time { return e.parts[part].now }
 
 // SetProcTap installs the process-lifecycle tap: fn receives the
 // partition the process lives on (0 on a single-partition engine), the
@@ -274,12 +302,12 @@ func (s *shard) at(t Time, fn func()) {
 }
 
 // At schedules fn to run at absolute time t (clamped to now) on the
-// calling context's partition. fn executes inline in the engine loop and
-// must not block or park.
+// partition ambient calls act on (see cur). fn executes inline in the
+// engine loop and must not block or park.
 func (e *Engine) At(t Time, fn func()) { e.cur().at(t, fn) }
 
-// After schedules fn to run d cycles from now on the calling context's
-// partition.
+// After schedules fn to run d cycles from now on the partition ambient
+// calls act on.
 func (e *Engine) After(d Time, fn func()) {
 	s := e.cur()
 	s.at(s.now+d, fn)
@@ -368,20 +396,14 @@ func (s *shard) loop() int {
 // processes whose wakeups are never scheduled are simply abandoned (their
 // goroutines are unblocked and discarded at no cost to determinism). On a
 // multi-partition engine Run executes the quantum algorithm (see
-// partition.go) — same results, any worker count.
+// partition.go) — same results, any worker count. A panic inside a
+// process body is re-raised on the goroutine that called Run.
 func (e *Engine) Run() {
 	if e.multi {
 		e.runQuanta(0, false)
 		return
 	}
-	e.inRun = true
-	e.root.stopped = false
-	e.root.hasLim = false
-	e.root.running = nil
-	if e.root.loop() == loopHandoff {
-		<-e.root.done
-	}
-	e.inRun = false
+	e.runRoot(0, false)
 }
 
 // RunUntil processes events with timestamps <= deadline, then sets the clock
@@ -397,18 +419,35 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		return
 	}
-	e.inRun = true
-	e.root.stopped = false
-	e.root.hasLim, e.root.limit = true, deadline
-	e.root.running = nil
-	if e.root.loop() == loopHandoff {
-		<-e.root.done
-	}
-	e.root.hasLim = false
+	e.runRoot(deadline, true)
 	if e.root.now < deadline {
 		e.root.now = deadline
 	}
-	e.inRun = false
+}
+
+// runRoot is the single-partition Run/RunUntil body.
+func (e *Engine) runRoot(deadline Time, hasDeadline bool) {
+	e.inRun = true
+	defer func() { e.inRun = false }()
+	e.root.stopped = false
+	e.root.dispatch(deadline, hasDeadline)
+}
+
+// dispatch runs the shard's loop from the calling goroutine, bounded by
+// limit (inclusive) when hasLim, and returns once the loop goes idle —
+// wherever the loop migrated in between. A panic that ended one of the
+// shard's fibers is re-raised here, on the loop's owner.
+func (s *shard) dispatch(limit Time, hasLim bool) {
+	s.hasLim, s.limit = hasLim, limit
+	s.running = nil
+	if s.loop() == loopHandoff {
+		<-s.done
+		if r := s.fault; r != nil {
+			s.fault = nil
+			panic(r)
+		}
+	}
+	s.hasLim = false
 }
 
 // Idle reports whether no events remain on any partition.
@@ -450,14 +489,7 @@ func (e *Engine) spawnOn(s *shard, t Time, name string, body func(p *Proc)) *Pro
 	s.procs[p] = struct{}{}
 	s.statSpawned++
 	go func() {
-		if e.multi {
-			// Fibers are pinned to their shard for life; registering the
-			// goroutine once lets Engine.At/After/Now resolve the right
-			// partition from inside the body.
-			g := goid()
-			e.shardOf.Store(g, s)
-			defer e.shardOf.Delete(g)
-		}
+		defer s.recoverFiber()
 		<-p.wake // wait for first dispatch
 		s.noteProc("start", p)
 		body(p)
@@ -475,10 +507,23 @@ func (e *Engine) spawnOn(s *shard, t Time, name string, body func(p *Proc)) *Pro
 	return p
 }
 
+// recoverFiber ends a fiber whose body, or an event its goroutine was
+// dispatching, panicked: the shard stops, the panic is kept on it, and
+// control returns to the loop's owner, which re-raises it (dispatch).
+func (s *shard) recoverFiber() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	s.fault = r
+	s.stopped = true
+	s.done <- struct{}{}
+}
+
 // Go spawns a new process that begins executing body at the current time,
-// on the calling context's partition. The body runs on its own goroutine
-// but is scheduled cooperatively: it only executes while the engine has
-// handed it control.
+// on the partition ambient calls act on (p.Go spawns on p's own). The body
+// runs on its own goroutine but is scheduled cooperatively: it only
+// executes while the engine has handed it control.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	s := e.cur()
 	return e.spawnOn(s, s.now, name, body)
@@ -514,6 +559,22 @@ func (p *Proc) Part() PartID { return p.sh.id }
 
 // Now returns the current virtual time of the process's partition.
 func (p *Proc) Now() Time { return p.sh.now }
+
+// At schedules fn at absolute time t (clamped to now) on p's partition:
+// the context form of Engine.At, exact in every window.
+func (p *Proc) At(t Time, fn func()) { p.sh.at(t, fn) }
+
+// After schedules fn d cycles from now on p's partition.
+func (p *Proc) After(d Time, fn func()) { p.sh.at(p.sh.now+d, fn) }
+
+// SendTo is Engine.SendTo sent from p's partition, with p's clock and
+// outbox.
+func (p *Proc) SendTo(part PartID, d Time, fn func()) { p.eng.sendFrom(p.sh, part, d, fn) }
+
+// Go spawns a process on p's partition, starting at p's current time.
+func (p *Proc) Go(name string, body func(p *Proc)) *Proc {
+	return p.eng.spawnOn(p.sh, p.sh.now, name, body)
+}
 
 // park gives control back to the engine until some event unparks p. The
 // parking goroutine continues running the shard loop itself: if the next

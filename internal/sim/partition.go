@@ -22,6 +22,14 @@
 // (or spawn-time GoOn). Queues, conds, resources, and waiter wakeups are
 // partition-local; sharing them across partitions is a model bug that the
 // race detector flags in tests.
+//
+// Partition resolution: nothing here asks a goroutine which partition it
+// runs on. A process carries its shard (Proc.SendTo and the other context
+// forms use it). Before each window it dispatches inline, on the Run
+// caller's goroutine, the coordinator records the window's shard in
+// Engine.inline, the one field the ambient Engine methods consult. A
+// window dispatched on the worker pool has no such shard, so ambient
+// calls there panic (see cur).
 package sim
 
 import (
@@ -97,14 +105,18 @@ func (e *Engine) GoOn(part PartID, name string, body func(p *Proc)) *Proc {
 }
 
 // SendTo schedules fn to run on the given partition d cycles from the
-// caller's current time. On the caller's own partition (or a
-// single-partition engine) it is exactly After. Across partitions the
-// delay must be >= the engine's lookahead — that bound is what makes the
-// quantum windows safe — and the message is buffered in the sender's
-// outbox until the next barrier, where all messages are applied in the
-// deterministic (at, sender, send-seq) order.
-func (e *Engine) SendTo(part PartID, d Time, fn func()) {
-	src := e.cur()
+// sending partition's current time; the sender is the partition ambient
+// calls act on (see cur), and Proc.SendTo sends from the process's own.
+// On the sender's own partition (or a single-partition engine) it is
+// exactly After. Across partitions the delay must be >= the engine's
+// lookahead — that bound is what makes the quantum windows safe — and the
+// message is buffered in the sender's outbox until the next barrier,
+// where all messages are applied in the deterministic (at, sender,
+// send-seq) order. Outside a run it lands directly on the target.
+func (e *Engine) SendTo(part PartID, d Time, fn func()) { e.sendFrom(e.cur(), part, d, fn) }
+
+// sendFrom is SendTo from shard src.
+func (e *Engine) sendFrom(src *shard, part PartID, d Time, fn func()) {
 	dst := e.parts[part]
 	if dst == src || !e.inRun {
 		dst.at(dst.now+d, fn)
@@ -131,7 +143,7 @@ func (e *Engine) runQuanta(deadline Time, hasDeadline bool) {
 		panic("sim: multi-partition engine requires SetLookahead before Run")
 	}
 	e.inRun = true
-	defer func() { e.inRun = false }()
+	defer func() { e.inRun, e.inline = false, nil }()
 	e.stopAll.Store(false)
 	for _, s := range e.parts {
 		s.stopped = false
@@ -181,9 +193,11 @@ func (e *Engine) runQuanta(deadline Time, hasDeadline bool) {
 		}
 		if pool == nil || len(active) == 1 {
 			for _, s := range active {
-				s.window(limit)
+				e.inline = s
+				s.dispatch(limit, true)
 			}
 		} else {
+			e.inline = nil
 			pool.dispatch(active, limit)
 		}
 		// Health counters, coordinator-side (single-threaded at the
@@ -202,22 +216,6 @@ func (e *Engine) runQuanta(deadline Time, hasDeadline bool) {
 			break
 		}
 	}
-}
-
-// window dispatches one quantum window on the shard: the sequential loop
-// bounded by limit (inclusive). The calling goroutine registers as the
-// shard's executor so callbacks resolve Engine.At/Now to this partition,
-// and unregisters when the window's continuation chain completes.
-func (s *shard) window(limit Time) {
-	g := goid()
-	s.eng.shardOf.Store(g, s)
-	s.hasLim, s.limit = true, limit
-	s.running = nil
-	if s.loop() == loopHandoff {
-		<-s.done
-	}
-	s.hasLim = false
-	s.eng.shardOf.Delete(g)
 }
 
 // drainOutboxes applies every buffered cross-partition message at the
@@ -303,7 +301,7 @@ func (p *windowPool) run(j windowJob) {
 			p.faults[j.i] = r
 		}
 	}()
-	j.s.window(j.limit)
+	j.s.dispatch(j.limit, true)
 }
 
 // dispatch runs one window across the pool and blocks until every active

@@ -68,7 +68,7 @@ func partitionedRun(t *testing.T, workers int, seed int64, deadline Time) ([]str
 					p.Sleep(st.sleep)
 					logs[li] = append(logs[li], fmt.Sprintf("p%d chat%d step%d @%d", li, f, s, p.Now()))
 					to, val := st.to, st.val
-					e.SendTo(to, st.delay, func() { inboxes[to].Send(val) })
+					p.SendTo(to, st.delay, func() { inboxes[to].Send(val) })
 				}
 			})
 		}

@@ -17,11 +17,12 @@ import (
 var fleetBenchParams = FleetParams{Fibers: 16, Tokens: 32, Hops: 30, Epochs: 6, HopCycles: 60}
 
 // BenchmarkFleetSpeedup is the PDES acceptance benchmark: the 8-PCPU
-// hackbench-style fleet on the partitioned ARM machine at 1, 2 and 4 host
-// workers. Results are byte-identical at every level (the determinism
-// tests in fleet_test.go pin that); only ns/op moves. On a multi-core
-// host par=4 should run at least 2x faster than par=1; on a single-core
-// host the levels collapse to roughly equal wall time.
+// hackbench-style fleet on the partitioned ARM machine at 1, 2 and 4
+// window workers (Engine.SetWorkers; sub-benchmark par=N). Results are
+// byte-identical at every worker count (the determinism tests in
+// fleet_test.go pin that); only ns/op moves. On a multi-core host par=4
+// should run at least 2x faster than par=1; on a single-core host the
+// worker counts collapse to roughly equal wall time.
 //
 // The reported PDES health counters (windows, stall-cycles, outbox-msgs,
 // plus a pN-stall-cycles breakdown per partition) are deterministic
@@ -53,8 +54,8 @@ func BenchmarkFleetSpeedup(b *testing.B) {
 
 // BenchmarkFleetSerialEngine prices the same scenario on the classic
 // single-partition machine — the baseline the partitioned engine's par=1
-// case must stay close to (the sequential fast path is untouched when
-// parallelism is off).
+// case must stay close to: at one worker every window runs inline on the
+// Run caller, and the partitioned engine adds only its barriers.
 func BenchmarkFleetSerialEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := platform.ARMMachine()
