@@ -94,7 +94,10 @@ bench-smoke:
 # armbench-smoke runs the end-to-end benchmark (armbench/) briefly: its own
 # tests, the fleet workload untraced and traced, and the traced study
 # workload. Each run must exit 0 and end with "correct":true; a panic in a
-# traced probe exits 2 and fails here.
+# traced probe exits 2 and fails here. A traced run must also report
+# positive sim.events.study, sim.events.fleet and sim.windows.fleet:
+# armbench reads them through sim.CollectStats around code that builds its
+# own machines, so a zero means the run scope stopped reaching them.
 armbench-smoke:
 	cd armbench && $(GO) test ./...
 	@set -e; \
@@ -103,8 +106,12 @@ armbench-smoke:
 	  echo "armbench-smoke: --workload $$1 --trace $$2"; \
 	  bash armbench/run.sh --workload $$1 --seed 1 --seconds 2 --trace $$2 > /tmp/armbench-smoke.txt || { cat /tmp/armbench-smoke.txt; exit 1; }; \
 	  tail -n 1 /tmp/armbench-smoke.txt | grep -q '"correct":true' || { cat /tmp/armbench-smoke.txt; exit 1; }; \
+	  if [ "$$2" = 1 ]; then \
+	    tail -n 1 /tmp/armbench-smoke.txt | jq -e '.metrics | [.["sim.events.study"].value, .["sim.events.fleet"].value, .["sim.windows.fleet"].value] | all(. > 0)' >/dev/null || \
+	      { echo "armbench-smoke: traced run reports sim.events.study, sim.events.fleet or sim.windows.fleet <= 0"; tail -n 1 /tmp/armbench-smoke.txt; exit 1; }; \
+	  fi; \
 	done; \
-	echo "armbench-smoke: OK (armbench tests; fleet untraced and traced, traced study: exit 0, correct)"
+	echo "armbench-smoke: OK (armbench tests; fleet untraced and traced, traced study: exit 0, correct, engine stats collected)"
 
 # bench-json runs the perf-trajectory suite — the engine hot-path
 # microbenchmarks, the experiment-level worker pool (core.RunAll at j=1

@@ -19,6 +19,7 @@ import (
 
 	"armvirt/internal/bench"
 	"armvirt/internal/blockdev"
+	"armvirt/internal/hw"
 	"armvirt/internal/hyp"
 	"armvirt/internal/obs"
 	"armvirt/internal/telemetry"
@@ -86,17 +87,21 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The telemetry collector must be bound before the factory builds the
-	// machine: hw.New picks its sampler up from the goroutine binding.
-	tcol := telemetry.NewCollector(*intervalUs)
-	tdetach := tcol.Bind()
-	h := factory()
-	m := h.Machine()
-	rec := obs.NewRecorder(m.NCPU(), *ringCap)
-	m.SetRecorder(rec)
-
-	result, err := runWorkload(h, *workloadFlag)
-	tdetach()
+	// The factory builds the machine inside the telemetry scope: hw.New
+	// takes its sampler from the scope its engine was built in.
+	var (
+		m      *hw.Machine
+		rec    *obs.Recorder
+		result string
+		err    error
+	)
+	tcol := telemetry.Collect(*intervalUs, func() {
+		h := factory()
+		m = h.Machine()
+		rec = obs.NewRecorder(m.NCPU(), *ringCap)
+		m.SetRecorder(rec)
+		result, err = runWorkload(h, *workloadFlag)
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "armvirt-stat: %v\n", err)
 		os.Exit(1)

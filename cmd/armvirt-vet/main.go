@@ -21,9 +21,8 @@
 //
 //	partsafe     code reachable from sim partitioned dispatch must not
 //	             write package-level state (//armvirt:partshared escapes)
-//	bindcheck    goroutines that reach sim.NewEngine/telemetry.BoundSampler
-//	             must bind the goroutine-scoped stats and telemetry
-//	             collectors first
+//	bindcheck    goroutines that reach sim.NewEngine must bind the run
+//	             scope (stats and telemetry collectors) first
 //	layering     the deterministic/wall-clock import DAG, checked
 //	errsink      no silently dropped durability errors in cluster/runlog
 //	             (//armvirt:errsink escapes)

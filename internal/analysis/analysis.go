@@ -21,8 +21,7 @@
 // Four more analyzers (DESIGN.md §14) work cross-package, over the
 // Module fact base built once per Run: partition-dispatch code must not
 // write shared package state (partsafe), spawned goroutines that build
-// engines or samplers must bind the goroutine-scoped collectors first
-// (bindcheck), the deterministic/wall-clock import DAG is checked
+// engines must bind the run scope first (bindcheck), the deterministic/wall-clock import DAG is checked
 // explicitly (layering), and durability errors in cluster/runlog must
 // not be silently dropped (errsink).
 package analysis

@@ -1,31 +1,28 @@
-// bindcheck: a goroutine that builds an engine or sampler must bind the
-// goroutine-scoped collectors first.
+// bindcheck: a goroutine that builds an engine must bind the run scope
+// first.
 //
-// sim.StatsCollector and telemetry.Collector attach to goroutines, not
-// to engines: sim.NewEngine consults the *calling goroutine's* binding
-// when it registers for stats, and telemetry.BoundSampler does the same
-// for series. The worker-pool idiom (DESIGN.md §10, §12) is therefore
+// A run's sim.StatsCollector and telemetry.Collector travel in one run
+// scope attached to goroutines, not to engines: sim.NewEngine reads the
+// *calling goroutine's* scope, registering the engine for stats and
+// keeping the telemetry collector for the machine built on it. The
+// worker-pool idiom (DESIGN.md §10, §12) is therefore
 //
-//	bind := sim.InheritStats()
-//	tbind := telemetry.Inherit()
+//	bind := sim.Inherit()
 //	go func() {
 //	        detach := bind()
 //	        defer detach()
-//	        tdetach := tbind()
-//	        defer tdetach()
-//	        ... sim.NewEngine() / telemetry.BoundSampler(...) ...
+//	        ... sim.NewEngine() ...
 //	}()
 //
 // Forgetting the bind() does not fail: the engine simply registers with
-// no collector and its EngineStats vanish from the merged report — the
-// silently-wrong class of bug that once took a debugging session to
-// find. bindcheck makes it a compile-time finding: for every `go`
-// statement whose launched function is statically resolvable, it walks
-// the module call graph from the launched body; if anything reachable
-// calls sim.NewEngine without a sim-side bind
-// (Bind/CollectStats/InheritStats-bind) anywhere in that same closure,
-// or telemetry.BoundSampler without a telemetry-side bind
-// (Bind/Collect/Inherit-bind), the launch site is reported.
+// no collector and its EngineStats and series vanish from the merged
+// report — the silently-wrong class of bug that once took a debugging
+// session to find. bindcheck makes it a compile-time finding: for every
+// `go` statement whose launched function is statically resolvable, it
+// walks the module call graph from the launched body; if anything
+// reachable calls sim.NewEngine and nothing reachable binds the scope
+// (the Inherit bind, sim.CollectStats, or sim.WithTelemetry, which
+// telemetry.Collect wraps), the launch site is reported.
 //
 // The check is launch-site scoped on purpose: binds on the spawning
 // goroutine do not carry over (that is the bug), so only code reachable
@@ -39,11 +36,11 @@
 // above) for launches that intentionally run unobserved.
 package analysis
 
-// Bindcheck is the goroutine collector-binding analyzer.
+// Bindcheck is the goroutine run-scope binding analyzer.
 var Bindcheck = &Analyzer{
 	Name: "bindcheck",
-	Doc: "a `go` statement whose goroutine reaches sim.NewEngine or telemetry.BoundSampler must bind the " +
-		"goroutine-scoped collectors first (sim.InheritStats / telemetry.Inherit; escape: //armvirt:unbound)",
+	Doc: "a `go` statement whose goroutine reaches sim.NewEngine must bind the run scope first " +
+		"(sim.Inherit; escape: //armvirt:unbound)",
 	Run: runBindcheck,
 }
 
@@ -58,26 +55,17 @@ func runBindcheck(pass *Pass) error {
 			if suppressedAt(suppress, pass.Fset.Position(site.Pos)) {
 				continue
 			}
-			var createsEngine, bindsSim, createsSampler, bindsTel bool
+			var createsEngine, binds bool
 			for node := range pass.Module.Reach(site.Target) {
-				tf, ok := pass.Module.Funcs[node]
-				if !ok {
-					continue
+				if tf, ok := pass.Module.Funcs[node]; ok {
+					createsEngine = createsEngine || tf.CreatesEngine
+					binds = binds || tf.BindsScope
 				}
-				createsEngine = createsEngine || tf.CreatesEngine
-				bindsSim = bindsSim || tf.BindsSim
-				createsSampler = createsSampler || tf.CreatesSampler
-				bindsTel = bindsTel || tf.BindsTelemetry
 			}
-			if createsEngine && !bindsSim {
+			if createsEngine && !binds {
 				pass.ReportRange(site.Pos, site.End,
-					"goroutine reaches sim.NewEngine without binding a stats collector; "+
-						"capture bind := sim.InheritStats() before the go statement and call bind() first in the goroutine (escape: //armvirt:unbound)")
-			}
-			if createsSampler && !bindsTel {
-				pass.ReportRange(site.Pos, site.End,
-					"goroutine reaches telemetry.BoundSampler without binding a telemetry collector; "+
-						"capture tbind := telemetry.Inherit() before the go statement and call tbind() first in the goroutine (escape: //armvirt:unbound)")
+					"goroutine reaches sim.NewEngine without binding the run scope; "+
+						"capture bind := sim.Inherit() before the go statement and call bind() first in the goroutine (escape: //armvirt:unbound)")
 			}
 		}
 	}

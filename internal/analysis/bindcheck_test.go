@@ -2,10 +2,11 @@ package analysis
 
 import "testing"
 
-// TestBindcheckFixtures covers unbound engine and sampler creation
-// (closure and named-function launches), the worker-pool bind idiom,
-// deep binds through helpers, engine-free and dynamic launches, and the
-// //armvirt:unbound waiver.
+// TestBindcheckFixtures covers unbound engine creation (closure and
+// named-function launches), the worker-pool bind idiom, deep binds
+// through sim.CollectStats and telemetry.Collect, engine-free and dynamic
+// launches, and the //armvirt:unbound waiver. The telemetry stub is in
+// the fact base so telemetry.Collect's bind is seen through its body.
 func TestBindcheckFixtures(t *testing.T) {
-	runFixtures(t, Bindcheck, "bindcheck")
+	runFixturesWith(t, Bindcheck, []string{"telemetry"}, "bindcheck")
 }

@@ -4,7 +4,7 @@
 // The per-package analyzers from the original suite (detclock, mapiter,
 // nilrecorder, spanbalance) are syntactic: everything they need is visible
 // in one type-checked package. The invariants the parallel engine
-// (DESIGN.md §11) and the goroutine-bound collectors (§10, §12) introduced
+// (DESIGN.md §11) and the goroutine-bound run scope (§10, §12) introduced
 // are not package-local — whether a function runs inside partitioned
 // dispatch, or whether a spawned goroutine eventually builds an engine,
 // depends on callers and callees in other packages.
@@ -14,10 +14,10 @@
 // computes), it exports one FuncFacts summary per function body — static
 // callees, contained function literals, function values handed to the
 // engine's dispatch APIs, `go` launch sites, package-level-variable
-// writes, and whether the body binds or creates the goroutine-scoped
-// collectors. Downstream packages' analyses import those facts through
-// Pass.Module: a lightweight static call graph, in the x/tools facts
-// spirit, with no dependency outside the standard library.
+// writes, and whether the body binds the run scope or creates an engine.
+// Downstream packages' analyses import those facts through Pass.Module: a
+// lightweight static call graph, in the x/tools facts spirit, with no
+// dependency outside the standard library.
 //
 // The graph is deliberately conservative in both directions and the
 // analyzers that consume it document which way they lean:
@@ -83,18 +83,14 @@ type FuncFacts struct {
 	// GlobalWrites are the package-level-variable writes in this body.
 	GlobalWrites []GlobalWrite
 
-	// BindsSim / BindsTelemetry report that the body attaches the
-	// goroutine-scoped collectors: a call to (*sim.StatsCollector).Bind,
-	// sim.CollectStats, or the bind function returned by sim.InheritStats
-	// (resp. (*telemetry.Collector).Bind, telemetry.Collect, or the bind
-	// returned by telemetry.Inherit).
-	BindsSim       bool
-	BindsTelemetry bool
-	// CreatesEngine / CreatesSampler report a direct call to
-	// sim.NewEngine resp. telemetry.BoundSampler — the two points where a
-	// goroutine's collector binding is consulted.
-	CreatesEngine  bool
-	CreatesSampler bool
+	// BindsScope reports that the body binds the goroutine's run scope: a
+	// call to sim.CollectStats or sim.WithTelemetry (which
+	// telemetry.Collect wraps), or to the bind function returned by
+	// sim.Inherit.
+	BindsScope bool
+	// CreatesEngine reports a direct call to sim.NewEngine, the one point
+	// where a goroutine's run scope is read.
+	CreatesEngine bool
 }
 
 // Module is the cross-package fact base handed to every Pass.
@@ -241,12 +237,11 @@ func displayName(fn *types.Func) string {
 	return fn.Name()
 }
 
-// collectBindVars finds variables assigned from sim.InheritStats() or
-// telemetry.Inherit() anywhere in the package: invoking such a variable
-// is the worker-pool bind idiom (`bind := sim.InheritStats(); go func()
-// { detach := bind(); ... }`).
-func collectBindVars(pkg *Package) map[types.Object]string {
-	out := map[types.Object]string{}
+// collectBindVars finds variables assigned from sim.Inherit() anywhere in
+// the package: invoking such a variable is the worker-pool bind idiom
+// (`bind := sim.Inherit(); go func() { detach := bind(); ... }`).
+func collectBindVars(pkg *Package) map[types.Object]bool {
+	out := map[types.Object]bool{}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
@@ -257,15 +252,14 @@ func collectBindVars(pkg *Package) map[types.Object]string {
 			if !ok {
 				return true
 			}
-			kind := bindSourceKind(pkg.TypesInfo, call)
-			if kind == "" {
+			if !isInherit(pkg.TypesInfo, call) {
 				return true
 			}
 			if id, ok := as.Lhs[0].(*ast.Ident); ok {
 				if obj := pkg.TypesInfo.Defs[id]; obj != nil {
-					out[obj] = kind
+					out[obj] = true
 				} else if obj := pkg.TypesInfo.Uses[id]; obj != nil {
-					out[obj] = kind
+					out[obj] = true
 				}
 			}
 			return true
@@ -274,20 +268,11 @@ func collectBindVars(pkg *Package) map[types.Object]string {
 	return out
 }
 
-// bindSourceKind classifies calls whose result is a bind function:
-// sim.InheritStats -> "sim", telemetry.Inherit -> "telemetry".
-func bindSourceKind(info *types.Info, call *ast.CallExpr) string {
+// isInherit reports whether call is sim.Inherit(), whose result is a bind
+// function.
+func isInherit(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	switch {
-	case fn.Pkg().Name() == "sim" && fn.Name() == "InheritStats":
-		return "sim"
-	case fn.Pkg().Name() == "telemetry" && fn.Name() == "Inherit":
-		return "telemetry"
-	}
-	return ""
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Name() == "sim" && fn.Name() == "Inherit"
 }
 
 // calleeFunc resolves a call's static callee to its types.Func, or nil
@@ -313,7 +298,7 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 
 // walkBody visits one function body, exporting facts to ff and creating
 // separate nodes (with containment edges) for nested function literals.
-func (m *Module) walkBody(pkg *Package, bindVars map[types.Object]string, ff *FuncFacts, body *ast.BlockStmt) {
+func (m *Module) walkBody(pkg *Package, bindVars map[types.Object]bool, ff *FuncFacts, body *ast.BlockStmt) {
 	info := pkg.TypesInfo
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
@@ -357,7 +342,7 @@ func (m *Module) walkBody(pkg *Package, bindVars map[types.Object]string, ff *Fu
 // walked as its own node but is NOT a containment edge of the spawner —
 // it runs on a different goroutine, which is exactly the distinction
 // bindcheck needs.
-func (m *Module) launchTarget(pkg *Package, bindVars map[types.Object]string, ff *FuncFacts, call *ast.CallExpr) NodeID {
+func (m *Module) launchTarget(pkg *Package, bindVars map[types.Object]bool, ff *FuncFacts, call *ast.CallExpr) NodeID {
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		id := litID(pkg.Fset, lit)
 		sub := m.newFacts(id, pkg, string(id), lit.Pos())
@@ -371,19 +356,14 @@ func (m *Module) launchTarget(pkg *Package, bindVars map[types.Object]string, ff
 }
 
 // factCall exports the facts of one call expression: the call edge, the
-// dispatch-argument roots, engine/sampler creation, and collector binds.
-func (m *Module) factCall(pkg *Package, bindVars map[types.Object]string, ff *FuncFacts, call *ast.CallExpr) {
+// dispatch-argument roots, engine creation, and run-scope binds.
+func (m *Module) factCall(pkg *Package, bindVars map[types.Object]bool, ff *FuncFacts, call *ast.CallExpr) {
 	info := pkg.TypesInfo
 
 	// Bind-function invocation: `bind()` where bind came from
-	// sim.InheritStats() / telemetry.Inherit().
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		switch bindVars[info.Uses[id]] {
-		case "sim":
-			ff.BindsSim = true
-		case "telemetry":
-			ff.BindsTelemetry = true
-		}
+	// sim.Inherit().
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && bindVars[info.Uses[id]] {
+		ff.BindsScope = true
 	}
 
 	fn := calleeFunc(info, call)
@@ -401,21 +381,12 @@ func (m *Module) factCall(pkg *Package, bindVars map[types.Object]string, ff *Fu
 	}
 	ff.Calls = append(ff.Calls, funcID(fn))
 
-	pkgName := ""
-	if fn.Pkg() != nil {
-		pkgName = fn.Pkg().Name()
-	}
-	switch pkgName {
-	case "sim":
+	if fn.Pkg() != nil && fn.Pkg().Name() == "sim" {
 		switch fn.Name() {
 		case "NewEngine":
 			ff.CreatesEngine = true
-		case "CollectStats":
-			ff.BindsSim = true
-		case "Bind":
-			if recvNamed(fn, "StatsCollector") {
-				ff.BindsSim = true
-			}
+		case "CollectStats", "WithTelemetry":
+			ff.BindsScope = true
 		}
 		if dispatchAPIs[fn.Name()] && (recvNamed(fn, "Engine") || recvNamed(fn, "Proc")) {
 			for _, arg := range call.Args {
@@ -432,17 +403,6 @@ func (m *Module) factCall(pkg *Package, bindVars map[types.Object]string, ff *Fu
 						ff.DispatchArgs = append(ff.DispatchArgs, funcID(afn))
 					}
 				}
-			}
-		}
-	case "telemetry":
-		switch fn.Name() {
-		case "BoundSampler":
-			ff.CreatesSampler = true
-		case "Collect":
-			ff.BindsTelemetry = true
-		case "Bind":
-			if recvNamed(fn, "Collector") {
-				ff.BindsTelemetry = true
 			}
 		}
 	}

@@ -81,12 +81,16 @@ func TestModuleFacts(t *testing.T) {
 
 	// Bind/create flags on named functions.
 	br := m.Funcs[NodeID("bindcheck.buildAndRun")]
-	if br == nil || !br.CreatesEngine || br.BindsSim {
-		t.Errorf("buildAndRun facts = %+v, want CreatesEngine and no BindsSim", br)
+	if br == nil || !br.CreatesEngine || br.BindsScope {
+		t.Errorf("buildAndRun facts = %+v, want CreatesEngine and no BindsScope", br)
 	}
 	bound := m.Funcs[NodeID("bindcheck.boundRun")]
-	if bound == nil || !bound.CreatesEngine || !bound.BindsSim {
-		t.Errorf("boundRun facts = %+v, want CreatesEngine and BindsSim", bound)
+	if bound == nil || !bound.BindsScope {
+		t.Errorf("boundRun facts = %+v, want BindsScope", bound)
+	}
+	collect := m.Funcs[NodeID("telemetry.Collect")]
+	if collect == nil || !collect.BindsScope {
+		t.Errorf("telemetry.Collect facts = %+v, want BindsScope through sim.WithTelemetry", collect)
 	}
 
 	// Function literals fact under position-derived IDs contained by

@@ -167,13 +167,26 @@ func splitQuoted(t *testing.T, pos token.Position, s string) []string {
 // diagnostics against the want annotations, x/tools analysistest style.
 func runFixtures(t *testing.T, a *Analyzer, paths ...string) {
 	t.Helper()
+	runFixturesWith(t, a, nil, paths...)
+}
+
+// runFixturesWith is runFixtures with the fixture packages deps in every
+// run's fact base, as in a whole-module armvirt-vet run. Their wants are
+// not collected, so any diagnostic in one fails the test.
+func runFixturesWith(t *testing.T, a *Analyzer, deps []string, paths ...string) {
+	t.Helper()
 	l := newFixtureLoader(t)
 	for _, path := range paths {
-		pkg, err := l.load(path)
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", path, err)
+		var pkgs []*Package
+		for _, p := range append([]string{path}, deps...) {
+			pkg, err := l.load(p)
+			if err != nil {
+				t.Fatalf("loading fixture %s: %v", p, err)
+			}
+			pkgs = append(pkgs, pkg)
 		}
-		diags, err := Run([]*Analyzer{a}, []*Package{pkg})
+		pkg := pkgs[0]
+		diags, err := Run([]*Analyzer{a}, pkgs)
 		if err != nil {
 			t.Fatalf("running %s on %s: %v", a.Name, path, err)
 		}

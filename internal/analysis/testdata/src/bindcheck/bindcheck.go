@@ -1,7 +1,7 @@
-// Package bindcheck exercises the collector-binding analyzer: a `go`
-// statement whose goroutine reaches the stand-in sim.NewEngine or
-// telemetry.BoundSampler must bind the goroutine-scoped collectors
-// first. The worker-pool idiom, deep binds, engine-free goroutines, and
+// Package bindcheck exercises the run-scope binding analyzer: a `go`
+// statement whose goroutine reaches the stand-in sim.NewEngine must bind
+// the run scope first. The worker-pool idiom, deep binds through
+// sim.CollectStats and telemetry.Collect, engine-free goroutines, and
 // //armvirt:unbound waivers stay silent.
 package bindcheck
 
@@ -13,7 +13,7 @@ import (
 // BadEngine spawns a goroutine that builds an engine with no bind: its
 // stats silently vanish from the merged report.
 func BadEngine() {
-	go func() { // want `goroutine reaches sim.NewEngine without binding a stats collector`
+	go func() { // want `goroutine reaches sim.NewEngine without binding the run scope`
 		e := sim.NewEngine()
 		e.Run()
 	}()
@@ -21,7 +21,7 @@ func BadEngine() {
 
 // BadNamed launches a named function; reachability crosses the call.
 func BadNamed() {
-	go buildAndRun() // want `goroutine reaches sim.NewEngine without binding a stats collector`
+	go buildAndRun() // want `goroutine reaches sim.NewEngine without binding the run scope`
 }
 
 func buildAndRun() {
@@ -29,26 +29,15 @@ func buildAndRun() {
 	e.Run()
 }
 
-// BadSampler drops telemetry instead of stats.
-func BadSampler() {
-	go func() { // want `goroutine reaches telemetry.BoundSampler without binding a telemetry collector`
-		_ = telemetry.BoundSampler(8)
-	}()
-}
-
-// GoodWorker is the blessed worker-pool idiom: capture the binds before
+// GoodWorker is the blessed worker-pool idiom: capture the bind before
 // the go statement, attach first thing inside the goroutine.
 func GoodWorker() {
-	bind := sim.InheritStats()
-	tbind := telemetry.Inherit()
+	bind := sim.Inherit()
 	go func() {
 		detach := bind()
 		defer detach()
-		tdetach := tbind()
-		defer tdetach()
 		e := sim.NewEngine()
 		e.Run()
-		_ = telemetry.BoundSampler(8)
 	}()
 }
 
@@ -61,14 +50,25 @@ func GoodDeep() {
 }
 
 func boundRun() {
-	c := sim.CollectStats()
-	defer c.Bind()()
-	e := sim.NewEngine()
-	e.Run()
+	sim.CollectStats(func() {
+		e := sim.NewEngine()
+		e.Run()
+	})
 }
 
-// Plain goroutines that never touch engine or telemetry code are not
-// this analyzer's business.
+// GoodTelemetry binds through telemetry.Collect, whose body sets the
+// telemetry half of the scope.
+func GoodTelemetry() {
+	go func() {
+		telemetry.Collect(func() {
+			e := sim.NewEngine()
+			e.Run()
+		})
+	}()
+}
+
+// Plain goroutines that never touch engine code are not this analyzer's
+// business.
 func Plain(ch chan int) {
 	go func() { ch <- 1 }()
 }

@@ -1,7 +1,7 @@
 // Stand-in engine API for the cross-package analyzers: a named type
 // Engine (dispatch surface Go/GoAt/GoOn/At/After/SendTo plus the tracer
 // hook), a named type Proc (the context forms Go/At/After/SendTo) and the
-// goroutine-bound stats collector, in a package named sim —
+// run-scope entry points, in a package named sim —
 // which is all partsafe and bindcheck key on, so fixtures exercise them
 // without importing the real engine. No clocks, no randomness: this file
 // must stay silent under detclock.
@@ -12,8 +12,8 @@ type Engine struct {
 	now int64
 }
 
-// NewEngine registers with the calling goroutine's bound collector in the
-// real package; here it only needs the name.
+// NewEngine reads the calling goroutine's run scope in the real package;
+// here it only needs the name.
 func NewEngine() *Engine { return &Engine{} }
 
 func (e *Engine) Go(body func())                       {}
@@ -35,17 +35,18 @@ func (p *Proc) At(at int64, fn func())               {}
 func (p *Proc) After(d int64, fn func())             {}
 func (p *Proc) SendTo(part int, at int64, fn func()) {}
 
-// StatsCollector mimics the goroutine-bound stats collector.
+// StatsCollector mimics the run-scoped stats collector.
 type StatsCollector struct{ n int64 }
 
-// Bind attaches the collector to the calling goroutine.
-func (c *StatsCollector) Bind() func() { return func() {} }
-
-// InheritStats captures the caller's binding; invoking the returned bind
+// Inherit captures the caller's run scope; invoking the returned bind
 // function attaches it to the invoking goroutine (the worker-pool idiom).
-func InheritStats() func() func() {
+func Inherit() func() func() {
 	return func() func() { return func() {} }
 }
 
-// CollectStats binds a fresh collector to the calling goroutine.
-func CollectStats() *StatsCollector { return &StatsCollector{} }
+// CollectStats runs fn with a fresh collector in the calling goroutine's
+// run scope.
+func CollectStats(fn func()) *StatsCollector { fn(); return &StatsCollector{} }
+
+// WithTelemetry runs fn with t as the telemetry half of the run scope.
+func WithTelemetry(t any, fn func()) { fn() }

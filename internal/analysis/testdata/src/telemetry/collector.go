@@ -1,24 +1,18 @@
-// Stand-in goroutine-bound telemetry API for bindcheck: a Collector with
-// Bind, the Inherit/Collect entry points, and BoundSampler — the names
-// and package the analyzer keys on. Kept free of Sampler methods so the
-// nilrecorder expectations in telemetry.go are untouched.
+// Stand-in run-scoped telemetry API for bindcheck: Collect sets the
+// telemetry half of sim's run scope through sim.WithTelemetry, which is
+// what the analyzer sees when it walks Collect's body. Kept free of
+// Sampler methods so the nilrecorder expectations in telemetry.go are
+// untouched.
 package telemetry
 
-// Collector mimics the goroutine-bound series collector.
+import "sim"
+
+// Collector mimics the run-scoped series collector.
 type Collector struct{ n int64 }
 
-// Bind attaches the collector to the calling goroutine.
-func (c *Collector) Bind() func() { return func() {} }
-
-// Inherit captures the caller's binding; invoking the returned bind
-// function attaches it to the invoking goroutine.
-func Inherit() func() func() {
-	return func() func() { return func() {} }
+// Collect runs fn with a fresh collector in the calling goroutine's scope.
+func Collect(fn func()) *Collector {
+	c := &Collector{}
+	sim.WithTelemetry(c, fn)
+	return c
 }
-
-// Collect binds a fresh collector to the calling goroutine.
-func Collect() *Collector { return &Collector{} }
-
-// BoundSampler builds a sampler wired to the calling goroutine's bound
-// collector.
-func BoundSampler(buckets int) *Sampler { return &Sampler{} }

@@ -9,7 +9,6 @@ import (
 	"armvirt/internal/micro"
 	"armvirt/internal/obs"
 	"armvirt/internal/sim"
-	"armvirt/internal/telemetry"
 )
 
 // PhaseUnit is one profiled (platform, operation) pair: the measured
@@ -79,19 +78,16 @@ func RunPhaseBreakdowns(labels, ops []string, parallelism int) PhaseBreakdownRes
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	// Workers inherit the caller's engine-stats and telemetry bindings so
-	// the engines each unit builds register with the caller's
-	// sim.StatsCollector and machines sample into its telemetry.Collector.
-	bind := sim.InheritStats()
-	tbind := telemetry.Inherit()
+	// Workers inherit the caller's run scope, so the engines each unit
+	// builds register with the caller's sim.StatsCollector and machines
+	// sample into its telemetry.Collector.
+	bind := sim.Inherit()
 	for w := 0; w < parallelism; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			detach := bind()
 			defer detach()
-			tdetach := tbind()
-			defer tdetach()
 			for i := range jobs {
 				j := jobsList[i]
 				pr := micro.ProfileOp(f[j.label](), j.op)

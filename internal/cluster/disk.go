@@ -223,7 +223,10 @@ func (d *DiskCache) Get(key string) ([]byte, bool) {
 }
 
 // readVerifyLocked reads one entry's file and verifies header length,
-// key, and value checksum. Called with d.mu held.
+// key, and value checksum. The header is re-read from disk, so its
+// length is checked against the indexed file size before anything is
+// allocated: a header rewritten since indexing (a negative or huge len)
+// is corruption, not an allocation request. Called with d.mu held.
 func (d *DiskCache) readVerifyLocked(e *dentry) ([]byte, bool) {
 	f, err := os.Open(filepath.Join(d.dir, e.file))
 	if err != nil {
@@ -236,7 +239,8 @@ func (d *DiskCache) readVerifyLocked(e *dentry) ([]byte, bool) {
 		return nil, false
 	}
 	var hdr dheader
-	if json.Unmarshal(line, &hdr) != nil || hdr.Key != e.key {
+	if json.Unmarshal(line, &hdr) != nil || hdr.Key != e.key ||
+		hdr.Len < 0 || int64(len(line))+hdr.Len != e.size {
 		return nil, false
 	}
 	val := make([]byte, hdr.Len)

@@ -8,7 +8,6 @@ import (
 
 	"armvirt/internal/bench"
 	"armvirt/internal/sim"
-	"armvirt/internal/telemetry"
 )
 
 // Report pairs an experiment with its outcome: the structured result, or
@@ -70,19 +69,16 @@ func RunAll(ctx context.Context, parallelism int) []Report {
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	// Workers inherit the caller's engine-stats and telemetry bindings so
-	// engines built inside experiments register with the caller's
-	// sim.StatsCollector and machines sample into its telemetry.Collector.
-	bind := sim.InheritStats()
-	tbind := telemetry.Inherit()
+	// Workers inherit the caller's run scope, so engines built inside
+	// experiments register with the caller's sim.StatsCollector and
+	// machines sample into its telemetry.Collector.
+	bind := sim.Inherit()
 	for w := 0; w < parallelism; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			detach := bind()
 			defer detach()
-			tdetach := tbind()
-			defer tdetach()
 			for i := range jobs {
 				reports[i] = RunOne(exps[i])
 			}

@@ -141,8 +141,8 @@ func New(cfg Config) *Machine {
 			m.Dist.PartOf = m.PartOf
 		}
 	}
-	if s := telemetry.BoundSampler(cfg.NCPU, cfg.Cost.FreqMHz); s != nil {
-		m.SetSampler(s)
+	if col, _ := eng.Telemetry().(*telemetry.Collector); col != nil {
+		m.SetSampler(col.NewSampler(cfg.NCPU, cfg.Cost.FreqMHz))
 	}
 	return m
 }

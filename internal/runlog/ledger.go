@@ -270,11 +270,9 @@ func (l *Ledger) Close() error {
 
 // ReadAll parses ledger JSONL from r in file order, skipping lines that
 // fail to parse (a torn final line after a crash must not poison the
-// query). Returns the entries and the byte offset just past the last
-// complete line, so tailing readers can resume there.
-func ReadAll(r io.Reader) ([]*Entry, int64) {
+// query).
+func ReadAll(r io.Reader) []*Entry {
 	var out []*Entry
-	var off int64
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
 	for sc.Scan() {
@@ -283,9 +281,8 @@ func ReadAll(r io.Reader) ([]*Entry, int64) {
 		if err := json.Unmarshal(line, &e); err == nil && e.ID != "" {
 			out = append(out, &e)
 		}
-		off += int64(len(line)) + 1
 	}
-	return out, off
+	return out
 }
 
 // ReadFile reads one ledger file (see ReadAll). A rotated sibling
@@ -294,17 +291,15 @@ func ReadAll(r io.Reader) ([]*Entry, int64) {
 func ReadFile(path string) ([]*Entry, error) {
 	var out []*Entry
 	if prev, err := os.Open(path + ".1"); err == nil {
-		es, _ := ReadAll(prev)
+		out = append(out, ReadAll(prev)...)
 		prev.Close()
-		out = append(out, es...)
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("runlog: read ledger: %w", err)
 	}
 	defer f.Close()
-	es, _ := ReadAll(f)
-	return append(out, es...), nil
+	return append(out, ReadAll(f)...), nil
 }
 
 // Filter returns the entries matching q, preserving order, applying

@@ -213,24 +213,36 @@ type Engine struct {
 	inRun bool
 
 	procTap func(t Time, part PartID, what, name string)
+
+	// tele is the telemetry half of the run scope NewEngine captured.
+	tele any
 }
 
 // NewEngine returns an engine with the clock at zero, an empty queue, and
-// a single partition. If a StatsCollector is bound to the calling
-// goroutine (see CollectStats), the engine registers with it. A
-// multi-partition run dispatches its windows on up to GOMAXPROCS host
-// goroutines (SetWorkers overrides); the count never affects results.
+// a single partition. It captures the calling goroutine's run scope (see
+// CollectStats): the engine registers with the scope's stats collector,
+// if any, and keeps its telemetry half for Telemetry. A multi-partition
+// run dispatches its windows on up to GOMAXPROCS host goroutines
+// (SetWorkers overrides); the count never affects results.
 func NewEngine() *Engine {
-	e := &Engine{workers: runtime.GOMAXPROCS(0)}
+	s := scopeOf(goid())
+	e := &Engine{workers: runtime.GOMAXPROCS(0), tele: s.tele}
 	e.root.eng = e
 	e.root.id = 0
 	e.root.name = "shared"
 	e.root.done = make(chan struct{}, 1)
 	e.root.procs = make(map[*Proc]struct{})
 	e.parts = []*shard{&e.root}
-	attachToBoundCollector(e)
+	if s.stats != nil {
+		s.stats.attach(e)
+	}
 	return e
 }
+
+// Telemetry returns the telemetry half of the run scope the engine was
+// built in (see WithTelemetry), or nil. It is opaque to sim: hw.New
+// asserts it to the telemetry collector that samples the machine.
+func (e *Engine) Telemetry() any { return e.tele }
 
 // errAmbient is the panic an ambient call raises inside a window
 // dispatched in parallel, where no single partition is current.

@@ -7,12 +7,15 @@
 //
 // StatsCollector gathers those counters across all the engines one
 // logical operation creates (an experiment builds one engine per platform
-// plus workload simulators). Attachment is by goroutine: CollectStats
-// binds a collector to the calling goroutine for the duration of a
-// function, and every NewEngine on a bound goroutine registers with the
-// bound collector. Worker pools that fan an operation out propagate the
-// binding with InheritStats, so collection survives the parallel runners
-// (core.RunAll, bench.RunPhaseBreakdowns) unchanged.
+// plus workload simulators). Attachment is by run scope: a goroutine
+// carries one scope holding the stats collector and the telemetry
+// collector of the run it works for. CollectStats and telemetry.Collect
+// each set their half of the calling goroutine's scope for the duration
+// of a function, and NewEngine — the only reader — registers the engine
+// with the stats half and keeps the telemetry half for the machine built
+// on it. Worker pools propagate the whole scope with Inherit, so
+// collection survives the parallel runners (core.RunAll,
+// bench.RunPhaseBreakdowns) unchanged.
 package sim
 
 import (
@@ -128,17 +131,13 @@ func (e *Engine) Stats() EngineStats {
 	return st
 }
 
-// StatsCollector accumulates the engines created by the goroutines it is
-// bound to. Safe for concurrent attachment; snapshot only after the
-// collected engines have quiesced.
+// StatsCollector accumulates the engines created inside its run scope.
+// Safe for concurrent attachment; snapshot only after the collected
+// engines have quiesced.
 type StatsCollector struct {
 	mu      sync.Mutex
 	engines []*Engine
 }
-
-// NewStatsCollector returns an empty collector. Bind it to a goroutine
-// with Bind (or use the CollectStats convenience wrapper).
-func NewStatsCollector() *StatsCollector { return &StatsCollector{} }
 
 func (c *StatsCollector) attach(e *Engine) {
 	c.mu.Lock()
@@ -149,7 +148,7 @@ func (c *StatsCollector) attach(e *Engine) {
 // Snapshot merges the stats of every collected engine. HeapHighWater is
 // the maximum across engines; everything else sums. The result is
 // independent of engine-creation order, so it is byte-identical across
-// parallelism levels of the runners that propagate the binding.
+// parallelism levels of the runners that propagate the scope.
 func (c *StatsCollector) Snapshot() EngineStats {
 	var total EngineStats
 	for _, s := range c.PerEngine() {
@@ -173,48 +172,56 @@ func (c *StatsCollector) PerEngine() []EngineStats {
 	return out
 }
 
-// boundCollectors maps goroutine id -> the collector bound to it.
-// Bindings are strictly scoped (Bind returns the detach that restores the
-// previous binding), so the map stays small: one entry per goroutine
-// currently inside a bound region.
-var boundCollectors struct {
+// scope is a goroutine's run scope: the stats collector its engines
+// register with, and the telemetry collector its machines sample into,
+// held opaque because telemetry imports sim. Either half may be nil.
+type scope struct {
+	stats *StatsCollector
+	tele  any
+}
+
+// scopes maps goroutine id -> the run scope bound to it. Bindings are
+// strictly nested (each bind restores the previous scope on detach), so
+// the map holds one entry per goroutine currently inside a bound region.
+var scopes = struct {
 	mu sync.Mutex
-	m  map[uint64]*StatsCollector
+	m  map[uint64]scope
+}{m: make(map[uint64]scope)}
+
+// scopeOf returns the scope bound to goroutine g (zero if none).
+func scopeOf(g uint64) scope {
+	scopes.mu.Lock()
+	s := scopes.m[g]
+	scopes.mu.Unlock()
+	return s
 }
 
-// Bind attaches c to the calling goroutine: every NewEngine on this
-// goroutine registers with c until the returned detach runs. Bindings
-// nest; detach restores the previous one. A nil receiver binds nothing
-// and returns a no-op detach.
-func (c *StatsCollector) Bind() (detach func()) {
-	if c == nil {
-		return func() {}
-	}
-	g := goid()
-	boundCollectors.mu.Lock()
-	if boundCollectors.m == nil {
-		boundCollectors.m = make(map[uint64]*StatsCollector)
-	}
-	prev, hadPrev := boundCollectors.m[g]
-	boundCollectors.m[g] = c
-	boundCollectors.mu.Unlock()
+// bindScope binds s to goroutine g until the returned detach restores the
+// previous scope.
+func bindScope(g uint64, s scope) (detach func()) {
+	scopes.mu.Lock()
+	prev, hadPrev := scopes.m[g]
+	scopes.m[g] = s
+	scopes.mu.Unlock()
 	return func() {
-		boundCollectors.mu.Lock()
+		scopes.mu.Lock()
 		if hadPrev {
-			boundCollectors.m[g] = prev
+			scopes.m[g] = prev
 		} else {
-			delete(boundCollectors.m, g)
+			delete(scopes.m, g)
 		}
-		boundCollectors.mu.Unlock()
+		scopes.mu.Unlock()
 	}
 }
 
-// getBinding returns the collector bound to goroutine g (nil if none).
-func getBinding(g uint64) *StatsCollector {
-	boundCollectors.mu.Lock()
-	c := boundCollectors.m[g]
-	boundCollectors.mu.Unlock()
-	return c
+// within runs fn with the calling goroutine's scope changed by edit; the
+// half edit leaves alone keeps its current value.
+func within(edit func(*scope), fn func()) {
+	g := goid()
+	s := scopeOf(g)
+	edit(&s)
+	defer bindScope(g, s)()
+	fn()
 }
 
 // goid returns the calling goroutine's id, parsed from the runtime.Stack
@@ -234,39 +241,37 @@ func goid() uint64 {
 	return id
 }
 
-// attachToBoundCollector registers e with the collector bound to the
-// calling goroutine, if any. Called by NewEngine.
-func attachToBoundCollector(e *Engine) {
-	if c := getBinding(goid()); c != nil {
-		c.attach(e)
-	}
-}
-
-// InheritStats captures the calling goroutine's bound collector and
+// Inherit captures the calling goroutine's run scope, both halves, and
 // returns a bind function for a spawned worker goroutine to call at its
-// top; bind returns the worker's detach. With nothing bound, both are
-// no-ops. Worker pools use this so engines created on their workers still
-// register with the spawning request's collector:
+// top; bind returns the worker's detach. With nothing bound, the worker
+// stays unbound. Worker pools use this so engines and machines built on
+// their workers are still collected by the spawning request:
 //
-//	bind := sim.InheritStats()
+//	bind := sim.Inherit()
 //	go func() {
 //		detach := bind()
 //		defer detach()
 //		...
 //	}()
-func InheritStats() (bind func() (detach func())) {
-	c := getBinding(goid())
-	return func() func() { return c.Bind() }
+func Inherit() (bind func() (detach func())) {
+	s := scopeOf(goid())
+	return func() func() { return bindScope(goid(), s) }
 }
 
-// CollectStats runs fn with a fresh collector bound to the calling
-// goroutine and returns the collector. Every engine fn creates — directly
-// or on worker goroutines that propagate the binding with InheritStats —
-// is collected.
+// CollectStats runs fn with a fresh stats collector in the calling
+// goroutine's run scope and returns the collector. Every engine fn
+// creates — directly or on worker goroutines that propagate the scope
+// with Inherit — is collected. A CollectStats nested inside another
+// shadows it for its duration; the telemetry half of the scope is kept.
 func CollectStats(fn func()) *StatsCollector {
-	c := NewStatsCollector()
-	detach := c.Bind()
-	defer detach()
-	fn()
+	c := &StatsCollector{}
+	within(func(s *scope) { s.stats = c }, fn)
 	return c
+}
+
+// WithTelemetry runs fn with t as the telemetry half of the calling
+// goroutine's run scope, keeping the stats half. It is telemetry.Collect's
+// hook into the scope; sim never looks inside t.
+func WithTelemetry(t any, fn func()) {
+	within(func(s *scope) { s.tele = t }, fn)
 }

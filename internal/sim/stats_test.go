@@ -81,17 +81,18 @@ func TestStatsCollectorCollects(t *testing.T) {
 	}
 }
 
-// TestCollectorScoping: engines created outside the collect region, or on
-// an unbound goroutine, are not collected; nested bindings restore.
+// TestCollectorScoping: engines created outside the collect region are
+// not collected; a nested CollectStats shadows the outer one and restores
+// it when it returns.
 func TestCollectorScoping(t *testing.T) {
 	runSmallSim() // unbound: collected nowhere
-	outer := NewStatsCollector()
-	detach := outer.Bind()
-	runSmallSim()
-	inner := CollectStats(func() { runSmallSim() }) // nested: shadows outer
-	runSmallSim()
-	detach()
-	runSmallSim() // after detach: collected nowhere
+	var inner *StatsCollector
+	outer := CollectStats(func() {
+		runSmallSim()
+		inner = CollectStats(func() { runSmallSim() }) // nested: shadows outer
+		runSmallSim()
+	})
+	runSmallSim() // after the scope ends: collected nowhere
 
 	if n := len(outer.PerEngine()); n != 2 {
 		t.Errorf("outer collected %d engines, want 2", n)
@@ -101,28 +102,51 @@ func TestCollectorScoping(t *testing.T) {
 	}
 }
 
-// TestInheritStatsPropagatesToWorkers: the worker-pool idiom carries the
-// caller's binding onto spawned goroutines.
-func TestInheritStatsPropagatesToWorkers(t *testing.T) {
-	c := NewStatsCollector()
-	detach := c.Bind()
-	defer detach()
-
-	bind := InheritStats()
+// runWorkers runs one small simulation on each of n goroutines that call
+// bind at their top, the worker-pool idiom of core.RunAll.
+func runWorkers(n int, bind func() func()) {
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d := bind()
-			defer d()
+			defer bind()()
 			runSmallSim()
 		}()
 	}
 	wg.Wait()
-	if n := len(c.PerEngine()); n != 4 {
-		t.Errorf("collected %d engines from workers, want 4", n)
+}
+
+// TestInheritStatsPropagatesToWorkers: the worker-pool idiom carries the
+// caller's stats collector onto spawned goroutines, and the telemetry
+// half of the scope with it.
+func TestInheritStatsPropagatesToWorkers(t *testing.T) {
+	tele := new(int)
+	var c *StatsCollector
+	var seen []any
+	var mu sync.Mutex
+	WithTelemetry(tele, func() {
+		c = CollectStats(func() {
+			bind := Inherit()
+			runWorkers(4, func() func() {
+				detach := bind()
+				mu.Lock()
+				seen = append(seen, NewEngine().Telemetry())
+				mu.Unlock()
+				return detach
+			})
+		})
+	})
+	// Each worker built one probe engine and ran one small simulation.
+	if n := len(c.PerEngine()); n != 8 {
+		t.Errorf("collected %d engines from workers, want 8", n)
 	}
+	for i, got := range seen {
+		if got != tele {
+			t.Errorf("worker %d engine captured telemetry %v, want the parent's", i, got)
+		}
+	}
+	c = CollectStats(func() { runWorkers(4, Inherit()) })
 	total := c.Snapshot()
 	one := runSmallSim().Stats()
 	want := EngineStats{
@@ -135,15 +159,26 @@ func TestInheritStatsPropagatesToWorkers(t *testing.T) {
 	}
 }
 
-// TestInheritStatsNoBinding: inheriting with nothing bound is a no-op.
+// TestInheritStatsNoBinding: inheriting with nothing bound leaves workers
+// unbound, even when they run while the parent has since bound a scope.
 func TestInheritStatsNoBinding(t *testing.T) {
-	bind := InheritStats()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		d := bind()
-		defer d()
-		runSmallSim()
-	}()
-	<-done
+	bind := Inherit()
+	var tele any
+	c := CollectStats(func() {
+		WithTelemetry(new(int), func() {
+			runWorkers(4, func() func() {
+				detach := bind()
+				if e := NewEngine(); e.Telemetry() != nil {
+					tele = e.Telemetry()
+				}
+				return detach
+			})
+		})
+	})
+	if n := len(c.PerEngine()); n != 0 {
+		t.Errorf("collected %d engines from workers of an unbound parent, want 0", n)
+	}
+	if tele != nil {
+		t.Errorf("worker of an unbound parent captured telemetry %v", tele)
+	}
 }

@@ -1,14 +1,12 @@
-// Goroutine-scoped sampler binding, mirroring sim's StatsCollector
-// discipline: a Collector bound to a goroutine receives a fresh Sampler
-// from every machine built on that goroutine (hw.New consults
-// BoundSampler), and worker pools propagate the binding with Inherit so
-// collection survives the parallel runners (core.RunAll,
-// bench.RunPhaseBreakdowns) unchanged. The goroutine id is purely a
-// registry key and never reaches simulation output.
+// Run-scoped sampler collection: a Collector is the telemetry half of
+// sim's run scope. Collect sets it for the duration of a function, every
+// engine built in that scope captures it, and hw.New gives each machine a
+// fresh Sampler from its engine's collector. Worker pools carry the scope
+// with sim.Inherit, so collection survives the parallel runners
+// (core.RunAll, bench.RunPhaseBreakdowns) unchanged.
 package telemetry
 
 import (
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -16,22 +14,13 @@ import (
 	"armvirt/internal/sim"
 )
 
-// Collector gathers the samplers of every machine built while it is bound.
+// Collector gathers the samplers of every machine built in its run scope.
 // Safe for concurrent attachment; snapshot only after the sampled engines
 // have quiesced.
 type Collector struct {
 	intervalUs float64
 	mu         sync.Mutex
 	samplers   []*Sampler
-}
-
-// NewCollector returns a collector whose samplers bucket on intervalUs
-// microseconds of simulated time (values <= 0 default to 10us).
-func NewCollector(intervalUs float64) *Collector {
-	if intervalUs <= 0 {
-		intervalUs = 10
-	}
-	return &Collector{intervalUs: intervalUs}
 }
 
 // NewSampler builds a sampler for an ncpu machine at freqMHz on the
@@ -97,98 +86,17 @@ func (c *Collector) SortedSeries() []Series {
 	return sorted
 }
 
-// bound maps goroutine id -> the collector bound to it. Bindings are
-// strictly scoped (Bind returns the detach restoring the previous value),
-// so the map stays small.
-var bound struct {
-	mu sync.Mutex
-	m  map[uint64]*Collector
-}
-
-// goid returns the calling goroutine's id, parsed from the runtime.Stack
-// header. Registry key only; never part of simulation output.
-func goid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	var id uint64
-	for _, ch := range buf[prefix:n] {
-		if ch < '0' || ch > '9' {
-			break
-		}
-		id = id*10 + uint64(ch-'0')
-	}
-	return id
-}
-
-func setBound(g uint64, c *Collector) (detach func()) {
-	bound.mu.Lock()
-	if bound.m == nil {
-		bound.m = make(map[uint64]*Collector)
-	}
-	prev, hadPrev := bound.m[g]
-	if c == nil {
-		delete(bound.m, g)
-	} else {
-		bound.m[g] = c
-	}
-	bound.mu.Unlock()
-	return func() {
-		bound.mu.Lock()
-		if hadPrev {
-			bound.m[g] = prev
-		} else {
-			delete(bound.m, g)
-		}
-		bound.mu.Unlock()
-	}
-}
-
-func getBound(g uint64) *Collector {
-	bound.mu.Lock()
-	c := bound.m[g]
-	bound.mu.Unlock()
-	return c
-}
-
-// Bind attaches c to the calling goroutine: every machine built on it
-// (hw.New -> BoundSampler) receives a sampler registered with c, until the
-// returned detach runs. Bindings nest; a nil receiver binds nothing.
-func (c *Collector) Bind() (detach func()) {
-	if c == nil {
-		return func() {}
-	}
-	return setBound(goid(), c)
-}
-
-// Inherit captures the calling goroutine's collector binding and returns a
-// bind function for a spawned worker goroutine, exactly like
-// sim.InheritStats. With nothing bound, both are no-ops.
-func Inherit() (bind func() (detach func())) {
-	c := getBound(goid())
-	return func() func() {
-		if c == nil {
-			return func() {}
-		}
-		return setBound(goid(), c)
-	}
-}
-
-// BoundSampler returns a fresh sampler from the collector bound to the
-// calling goroutine (nil — a valid no-op sampler — when none is bound).
-// hw.New calls this for every machine it builds.
-func BoundSampler(ncpu, freqMHz int) *Sampler {
-	return getBound(goid()).NewSampler(ncpu, freqMHz)
-}
-
-// Collect runs fn with a fresh collector (bucketing on intervalUs
-// microseconds) bound to the calling goroutine and returns the collector.
-// Every machine fn builds — directly or on workers that propagate the
-// binding with Inherit — is sampled.
+// Collect runs fn with a fresh collector, whose samplers bucket on
+// intervalUs microseconds of simulated time (values <= 0 default to
+// 10us), as the telemetry half of the calling goroutine's run scope, and
+// returns the collector. Every machine fn builds — directly or on workers
+// that propagate the scope with sim.Inherit — is sampled. The stats half
+// of the scope (sim.CollectStats) is kept.
 func Collect(intervalUs float64, fn func()) *Collector {
-	c := NewCollector(intervalUs)
-	detach := c.Bind()
-	defer detach()
-	fn()
+	if intervalUs <= 0 {
+		intervalUs = 10
+	}
+	c := &Collector{intervalUs: intervalUs}
+	sim.WithTelemetry(c, fn)
 	return c
 }

@@ -4,80 +4,87 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"armvirt/internal/sim"
 )
 
-// TestCollectorBinding: machines built under Collect get real samplers via
-// BoundSampler; unbound goroutines get nil (the no-op sampler).
+// TestCollectorBinding: an engine built under Collect captures the
+// collector as its scope's telemetry half; one built outside captures
+// nothing, so its machine gets the nil (no-op) sampler.
 func TestCollectorBinding(t *testing.T) {
-	if BoundSampler(2, 1) != nil {
-		t.Fatal("unbound goroutine got a non-nil bound sampler")
+	if got := sim.NewEngine().Telemetry(); got != nil {
+		t.Fatalf("engine built out of scope captured %v", got)
 	}
-	col := Collect(10, func() {
-		s := BoundSampler(2, 1)
-		if s == nil {
-			t.Error("BoundSampler returned nil under Collect")
-			return
-		}
-		s.Count(5, 0, CtrDiskReq, 1)
-	})
-	if BoundSampler(2, 1) != nil {
-		t.Fatal("binding leaked past Collect")
+	var inScope any
+	col := Collect(10, func() { inScope = sim.NewEngine().Telemetry() })
+	if inScope != col {
+		t.Fatalf("engine built under Collect captured %v, want the collector", inScope)
 	}
-	if n := len(col.Samplers()); n != 1 {
-		t.Fatalf("samplers registered = %d, want 1", n)
-	}
-	if got := col.Samplers()[0].Samples(); got != 1 {
-		t.Fatalf("samples = %d, want 1", got)
+	if got := sim.NewEngine().Telemetry(); got != nil {
+		t.Fatalf("scope leaked past Collect: %v", got)
 	}
 }
 
-// TestCollectorInherit: worker goroutines re-bind via Inherit so samplers
-// created off the main goroutine land in the same collector, and detach
-// restores the worker's previous (empty) binding.
+// inheritedTelemetry builds one engine on each of four goroutines that
+// call bind first and returns the telemetry half each captured.
+func inheritedTelemetry(bind func() func()) []any {
+	var (
+		wg  sync.WaitGroup
+		mu  sync.Mutex
+		got []any
+	)
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer bind()()
+			tele := sim.NewEngine().Telemetry()
+			mu.Lock()
+			got = append(got, tele)
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	return got
+}
+
+// TestCollectorInherit: worker goroutines re-bind via sim.Inherit so
+// engines built off the main goroutine capture the same collector, and
+// detach restores the worker's previous (empty) scope.
 func TestCollectorInherit(t *testing.T) {
-	col := Collect(10, func() {
-		bind := Inherit()
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				detach := bind()
-				defer detach()
-				s := BoundSampler(1, 1)
-				if s == nil {
-					t.Error("worker did not inherit the collector binding")
-					return
-				}
-				s.Count(1, 0, CtrNICIRQ, 1)
-			}()
+	var got []any
+	col := Collect(10, func() { got = inheritedTelemetry(sim.Inherit()) })
+	if len(got) != 4 {
+		t.Fatalf("workers built %d engines, want 4", len(got))
+	}
+	for i, tele := range got {
+		if tele != col {
+			t.Errorf("worker %d did not inherit the collector: got %v", i, tele)
 		}
-		wg.Wait()
-	})
-	if n := len(col.Samplers()); n != 4 {
-		t.Fatalf("samplers = %d, want 4 (one per worker)", n)
+	}
+	if n := len(col.Samplers()); n != 0 {
+		t.Errorf("collector holds %d samplers before any machine asked for one", n)
 	}
 }
 
-// TestInheritUnboundIsNoOp: Inherit from an unbound goroutine yields a
-// binder that leaves workers unbound rather than panicking.
+// TestInheritUnboundIsNoOp: sim.Inherit from an unbound goroutine yields
+// a binder that leaves workers unbound rather than panicking, even when
+// they run inside the parent's later Collect.
 func TestInheritUnboundIsNoOp(t *testing.T) {
-	bind := Inherit()
-	done := make(chan bool)
-	go func() {
-		detach := bind()
-		defer detach()
-		done <- BoundSampler(1, 1) == nil
-	}()
-	if !<-done {
-		t.Fatal("worker inherited a collector from an unbound parent")
+	bind := sim.Inherit()
+	var got []any
+	Collect(10, func() { got = inheritedTelemetry(bind) })
+	for i, tele := range got {
+		if tele != nil {
+			t.Errorf("worker %d inherited a collector from an unbound parent: %v", i, tele)
+		}
 	}
 }
 
 // TestSamplerIntervalFromCollector: NewSampler converts the collector's
 // microsecond interval into cycles at the machine's frequency.
 func TestSamplerIntervalFromCollector(t *testing.T) {
-	c := NewCollector(10)
+	c := Collect(10, func() {})
 	s := c.NewSampler(4, 2400)
 	if got := s.Interval(); got != 24000 {
 		t.Fatalf("interval = %d cycles, want 24000 (10us at 2400 MHz)", got)
@@ -92,7 +99,7 @@ func TestSamplerIntervalFromCollector(t *testing.T) {
 // registration order.
 func TestSortedSeriesCanonical(t *testing.T) {
 	mk := func(order []int) string {
-		c := NewCollector(10)
+		c := Collect(10, func() {})
 		samplers := make([]*Sampler, 2)
 		for _, i := range order {
 			samplers[i] = c.NewSampler(1, 1)
@@ -123,6 +130,4 @@ func TestNilCollector(t *testing.T) {
 	if got := c.SortedSeries(); len(got) != 0 {
 		t.Fatalf("nil collector has series: %v", got)
 	}
-	detach := c.Bind()
-	detach()
 }
