@@ -86,10 +86,13 @@ telemetry-determinism:
 
 # bench-smoke runs the engine hot-path microbenchmarks briefly, plus one
 # iteration of the fleet on the partitioned engine at one window worker and
-# on the serial engine, so the partitioned path runs under a benchmark too.
+# on the serial engine, so the partitioned path runs under a benchmark too,
+# and one iteration of each registry experiment (wall time and allocations
+# per experiment).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventDispatch|BenchmarkProcSwitch|BenchmarkQueueSendRecv' -benchmem -benchtime 100ms ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetSpeedup/par=1$$|BenchmarkFleetSerialEngine' -benchmem -benchtime 1x ./internal/workload
+	$(GO) test -run '^$$' -bench 'BenchmarkExperiment' -benchmem -benchtime 1x ./internal/core
 
 # armbench-smoke runs the end-to-end benchmark (armbench/) briefly: its own
 # tests, the fleet workload untraced and traced, and the traced study
@@ -120,9 +123,11 @@ armbench-smoke:
 # counters),
 # and a serving-tier point: one replica primed cold then driven by
 # armvirt-loadgen, whose -json report benchjson folds in under
-# "loadgen" — and records it all as BENCH_9.json via armvirt-benchjson
-# (host metadata + every result + derived par/j speedups). CI uploads
-# the file as an artifact; speedups only show on multi-core hosts.
+# "loadgen" — and records it all via armvirt-benchjson (host metadata +
+# every result + derived par/j speedups) as the next unused BENCH_<n>.json,
+# one past the highest n present, so a run never overwrites a checked-in
+# file. The last line names the file written; CI uploads it as an
+# artifact. Speedups only show on multi-core hosts.
 bench-json:
 	$(GO) build -o /tmp/armvirt-benchjson ./cmd/armvirt-benchjson
 	$(GO) build -o /tmp/armvirt-serve ./cmd/armvirt-serve
@@ -140,8 +145,11 @@ bench-json:
 	  -paths "/v1/experiments/T1?format=json,/v1/experiments/T2?format=json" \
 	  -rps 40 -duration 3s -json > /tmp/bench-loadgen.json; \
 	kill -TERM $$pid; wait $$pid
-	/tmp/armvirt-benchjson -out BENCH_9.json /tmp/bench-engine.txt /tmp/bench-runall.txt /tmp/bench-fleet.txt /tmp/bench-loadgen.json
-	@echo "wrote BENCH_9.json"
+	@set -e; \
+	n=$$(ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$$/\1/p' | sort -n | tail -n 1); \
+	out=BENCH_$$(( $${n:-0} + 1 )).json; \
+	/tmp/armvirt-benchjson -out $$out /tmp/bench-engine.txt /tmp/bench-runall.txt /tmp/bench-fleet.txt /tmp/bench-loadgen.json; \
+	echo "wrote $$out"
 
 # serve-smoke boots the armvirt-serve daemon, waits for /healthz, then
 # checks the cache-correctness contract end to end: a cold (fresh-run)

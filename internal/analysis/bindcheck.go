@@ -21,8 +21,9 @@
 // `go` statement whose launched function is statically resolvable, it
 // walks the module call graph from the launched body; if anything
 // reachable calls sim.NewEngine and nothing reachable binds the scope
-// (the Inherit bind, sim.CollectStats, or sim.WithTelemetry, which
-// telemetry.Collect wraps), the launch site is reported.
+// (the Inherit bind, sim.CollectStats, sim.WithTelemetry, or
+// telemetry.Collect, which wraps it and counts as a bind even when
+// telemetry's body is not loaded), the launch site is reported.
 //
 // The check is launch-site scoped on purpose: binds on the spawning
 // goroutine do not carry over (that is the bug), so only code reachable

@@ -84,9 +84,10 @@ type FuncFacts struct {
 	GlobalWrites []GlobalWrite
 
 	// BindsScope reports that the body binds the goroutine's run scope: a
-	// call to sim.CollectStats or sim.WithTelemetry (which
-	// telemetry.Collect wraps), or to the bind function returned by
-	// sim.Inherit.
+	// call to sim.CollectStats, sim.WithTelemetry or telemetry.Collect
+	// (which wraps sim.WithTelemetry, so the bind is seen even when
+	// telemetry's body is not loaded), or to the bind function returned
+	// by sim.Inherit.
 	BindsScope bool
 	// CreatesEngine reports a direct call to sim.NewEngine, the one point
 	// where a goroutine's run scope is read.
@@ -381,6 +382,9 @@ func (m *Module) factCall(pkg *Package, bindVars map[types.Object]bool, ff *Func
 	}
 	ff.Calls = append(ff.Calls, funcID(fn))
 
+	if fn.Pkg() != nil && fn.Pkg().Name() == "telemetry" && fn.Name() == "Collect" {
+		ff.BindsScope = true
+	}
 	if fn.Pkg() != nil && fn.Pkg().Name() == "sim" {
 		switch fn.Name() {
 		case "NewEngine":

@@ -1,6 +1,7 @@
 // Stand-in run-scoped telemetry API for bindcheck: Collect sets the
-// telemetry half of sim's run scope through sim.WithTelemetry, which is
-// what the analyzer sees when it walks Collect's body. Kept free of
+// telemetry half of sim's run scope through sim.WithTelemetry. The
+// analyzer counts a call to Collect as a bind by name, and TestModuleFacts
+// checks it also sees the bind when it walks Collect's body. Kept free of
 // Sampler methods so the nilrecorder expectations in telemetry.go are
 // untouched.
 package telemetry

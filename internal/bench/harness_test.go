@@ -2,6 +2,8 @@ package bench
 
 import (
 	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -213,6 +215,37 @@ func TestSensitivityDeterministic(t *testing.T) {
 	for c, n := range a.Held {
 		if b.Held[c] != n {
 			t.Fatalf("sensitivity nondeterministic for %q", c)
+		}
+	}
+}
+
+// TestSensitivityPathsMatchMeasurePathCosts: R1 measures the fields its
+// conclusions read exactly as micro.MeasurePathCosts does for F4, X1, F5
+// and V1, at the calibrated point (against the platform registry's own
+// builds) and at two perturbed draws.
+func TestSensitivityPathsMatchMeasurePathCosts(t *testing.T) {
+	type pair struct {
+		name      string
+		r1, suite func() hyp.Hypervisor
+	}
+	cases := []pair{
+		{"calibrated KVM ARM", kvmARMAt(platform.KVMARMCosts()), func() hyp.Hypervisor { return platform.NewKVMARM().Hyp() }},
+		{"calibrated Xen ARM", xenARMAt(platform.XenARMCosts()), func() hyp.Hypervisor { return platform.NewXenARM().Hyp() }},
+	}
+	for _, seed := range []int64{7, 42} {
+		kc := perturbedKVMARM(rand.New(rand.NewSource(seed)), 0.20)
+		xc := perturbedXenARM(rand.New(rand.NewSource(seed)), 0.20)
+		name := "seed " + strconv.FormatInt(seed, 10)
+		cases = append(cases,
+			pair{name + " KVM ARM", kvmARMAt(kc), kvmARMAt(kc)},
+			pair{name + " Xen ARM", xenARMAt(xc), xenARMAt(xc)})
+	}
+	for _, c := range cases {
+		got := measureConclusionPaths(c.r1)
+		want := micro.MeasurePathCosts(c.suite)
+		want.GICTrap, want.VirqComplete, want.VMSwitch = 0, 0, 0
+		if got != want {
+			t.Errorf("%s: R1 measured %+v, MeasurePathCosts %+v", c.name, got, want)
 		}
 	}
 }

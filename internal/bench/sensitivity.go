@@ -33,19 +33,21 @@ func perturb(rng *rand.Rand, v int64, spread float64) int64 {
 	return int64(float64(v) * f)
 }
 
-// perturbedKVMARM builds KVM ARM with its residual constants scattered.
-func perturbedKVMARM(rng *rand.Rand, spread float64) hyp.Hypervisor {
+// perturbedKVMARM draws KVM ARM's costs with its residual constants
+// scattered.
+func perturbedKVMARM(rng *rand.Rand, spread float64) kvm.Costs {
 	c := platform.KVMARMCosts()
 	c.VCPUWake = perturbCycles(rng, c.VCPUWake, spread)
 	c.NotifyResidual = perturbCycles(rng, c.NotifyResidual, spread)
 	c.BackendWake = perturbCycles(rng, c.BackendWake, spread)
 	c.Irqfd = perturbCycles(rng, c.Irqfd, spread)
 	c.HostSchedSwitch = perturbCycles(rng, c.HostSchedSwitch, spread)
-	return kvm.New(platform.ARMMachine(), c, false)
+	return c
 }
 
-// perturbedXenARM builds Xen ARM with its residual constants scattered.
-func perturbedXenARM(rng *rand.Rand, spread float64) hyp.Hypervisor {
+// perturbedXenARM draws Xen ARM's costs with its residual constants
+// scattered.
+func perturbedXenARM(rng *rand.Rand, spread float64) xen.Costs {
 	c := platform.XenARMCosts()
 	c.SGIEmulate = perturbCycles(rng, c.SGIEmulate, spread)
 	c.PhysIRQAck = perturbCycles(rng, c.PhysIRQAck, spread)
@@ -54,7 +56,17 @@ func perturbedXenARM(rng *rand.Rand, spread float64) hyp.Hypervisor {
 	c.Dom0WorkerWake = perturbCycles(rng, c.Dom0WorkerWake, spread)
 	c.NotifyRingWork = perturbCycles(rng, c.NotifyRingWork, spread)
 	c.IdleWakeSched = perturbCycles(rng, c.IdleWakeSched, spread)
-	return xen.New(platform.ARMMachine(), c)
+	return c
+}
+
+// kvmARMAt builds split-mode KVM ARM platforms with costs c.
+func kvmARMAt(c kvm.Costs) func() hyp.Hypervisor {
+	return func() hyp.Hypervisor { return kvm.New(platform.ARMMachine(), c, false) }
+}
+
+// xenARMAt builds Xen ARM platforms with costs c.
+func xenARMAt(c xen.Costs) func() hyp.Hypervisor {
+	return func() hyp.Hypervisor { return xen.New(platform.ARMMachine(), c) }
 }
 
 func perturbCycles[T ~int64](rng *rand.Rand, v T, spread float64) T {
@@ -78,10 +90,8 @@ func RunSensitivity(samples int, spread float64, seed int64) SensitivityResult {
 	res := SensitivityResult{Samples: samples, Spread: spread, Held: map[string]int{}}
 	for s := 0; s < samples; s++ {
 		kvmSeed, xenSeed := rng.Int63(), rng.Int63()
-		newKVM := func() hyp.Hypervisor { return perturbedKVMARM(rand.New(rand.NewSource(kvmSeed)), spread) }
-		newXen := func() hyp.Hypervisor { return perturbedXenARM(rand.New(rand.NewSource(xenSeed)), spread) }
-		kvmPC := micro.MeasurePathCosts(newKVM)
-		xenPC := micro.MeasurePathCosts(newXen)
+		kvmPC := measureConclusionPaths(kvmARMAt(perturbedKVMARM(rand.New(rand.NewSource(kvmSeed)), spread)))
+		xenPC := measureConclusionPaths(xenARMAt(perturbedXenARM(rand.New(rand.NewSource(xenSeed)), spread)))
 
 		if float64(kvmPC.Hypercall) > 10*float64(xenPC.Hypercall) {
 			res.Held["Xen ARM hypercall 10x under KVM ARM"]++
@@ -105,6 +115,22 @@ func RunSensitivity(samples int, spread float64, seed int64) SensitivityResult {
 		}
 	}
 	return res
+}
+
+// measureConclusionPaths measures the path costs the conclusions read —
+// Hypercall, VirtIPI, IOOut, IOIn and VirqDeliverBusy, plus the platform
+// header — each on a fresh platform from newHyp, as
+// micro.MeasurePathCosts does. GICTrap, VirqComplete and VMSwitch stay
+// zero: no conclusion reads them.
+func measureConclusionPaths(newHyp func() hyp.Hypervisor) micro.PathCosts {
+	h := newHyp()
+	pc := micro.PathCostsHeader(h)
+	pc.Hypercall = micro.Hypercall(h).Cycles
+	pc.VirtIPI = micro.VirtualIPI(newHyp()).Cycles
+	pc.IOOut = micro.IOLatencyOut(newHyp()).Cycles
+	pc.IOIn = micro.IOLatencyIn(newHyp()).Cycles
+	pc.VirqDeliverBusy = micro.VirqDeliveryBusy(newHyp()).Cycles
+	return pc
 }
 
 // Rows enumerates, per conclusion, the fraction of samples in which it

@@ -117,3 +117,19 @@ func BenchmarkRunAll(b *testing.B) {
 		})
 	}
 }
+
+// benchResult keeps BenchmarkExperiment's calls from being optimized away.
+var benchResult Result
+
+// BenchmarkExperiment prices each registry experiment on its own (wall
+// time and allocations), so the RunAll total decomposes by experiment.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchResult = e.Run()
+			}
+		})
+	}
+}

@@ -1,6 +1,9 @@
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CostModel is the table of *hardware* primitive costs for one simulated
 // server platform, in CPU cycles. Software costs (hypervisor handler and
@@ -82,8 +85,9 @@ type CostModel struct {
 }
 
 // Validate checks the model is usable: a positive frequency (a zero
-// FreqMHz would silently yield Inf/NaN microsecond conversions) and no
-// negative primitive costs. hw.New panics on the first violation, so a
+// FreqMHz would silently yield Inf/NaN microsecond conversions), no
+// negative primitive costs, and a finite, non-negative CopyPerByte (a NaN
+// or +Inf rate would make every copy cost meaningless). hw.New panics on the first violation, so a
 // malformed model fails at machine construction instead of corrupting
 // results.
 func (cm *CostModel) Validate() error {
@@ -115,8 +119,8 @@ func (cm *CostModel) Validate() error {
 				cls, sr.Save, sr.Restore)
 		}
 	}
-	if cm.CopyPerByte < 0 {
-		return fmt.Errorf("cpu: cost model CopyPerByte = %g, must not be negative", cm.CopyPerByte)
+	if cm.CopyPerByte < 0 || math.IsNaN(cm.CopyPerByte) || math.IsInf(cm.CopyPerByte, 0) {
+		return fmt.Errorf("cpu: cost model CopyPerByte = %g, must be finite and not negative", cm.CopyPerByte)
 	}
 	return nil
 }

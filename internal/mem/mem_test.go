@@ -46,6 +46,25 @@ func TestWalkUnmappedReportsPartialLevels(t *testing.T) {
 	}
 }
 
+// TestEmptyTableAllocatesNoNode: a table nothing is mapped into costs only
+// its header; Walk and Unmap on it read an empty root without building one.
+func TestEmptyTableAllocatesNoNode(t *testing.T) {
+	var s2 *S2Table
+	var levels int
+	var unmapped bool
+	allocs := testing.AllocsPerRun(100, func() {
+		s2 = NewS2Table(1)
+		_, _, levels, _ = s2.Walk(0x5000)
+		unmapped = s2.Unmap(0x5000)
+	})
+	if allocs > 1 || s2.root != nil {
+		t.Fatalf("empty table: %v allocs per run, root %p; want only the table header", allocs, s2.root)
+	}
+	if levels != 1 || unmapped {
+		t.Fatalf("empty table: walk touched %d levels, Unmap = %v; want 1, false", levels, unmapped)
+	}
+}
+
 func TestDoubleMapFails(t *testing.T) {
 	s2 := NewS2Table(1)
 	if err := s2.Map(0x1000, 0x80000000, PermR); err != nil {

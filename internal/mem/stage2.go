@@ -70,14 +70,16 @@ type node struct {
 // S2Table is a Stage-2 translation table for one VM: a 4-level radix tree
 // over the VM's IPA space, as walked by hardware on a TLB miss.
 type S2Table struct {
-	vmid   int
+	vmid int
+	// root is allocated by the first Map: many VMs never map a page, and
+	// a node is 8 KB. A nil root walks as an empty root table.
 	root   *node
 	mapped int
 }
 
 // NewS2Table creates an empty Stage-2 table tagged with a VMID.
 func NewS2Table(vmid int) *S2Table {
-	return &S2Table{vmid: vmid, root: &node{}}
+	return &S2Table{vmid: vmid}
 }
 
 // VMID returns the table's VMID tag.
@@ -110,6 +112,9 @@ func (t *S2Table) Map(ipa IPA, pa PA, perm Perm) error {
 	}
 	if perm&PermR == 0 {
 		return fmt.Errorf("mem: mapping %#x without read permission", uint64(ipa))
+	}
+	if t.root == nil {
+		t.root = &node{}
 	}
 	n := t.root
 	for level := 0; level < Levels-1; level++ {
@@ -144,6 +149,9 @@ func (t *S2Table) MapRange(ipa IPA, pa PA, n int, perm Perm) error {
 func (t *S2Table) Unmap(ipa IPA) bool {
 	checkAligned(ipa)
 	n := t.root
+	if n == nil {
+		return false
+	}
 	for level := 0; level < Levels-1; level++ {
 		n = n.children[indexAt(ipa, level)]
 		if n == nil {
@@ -169,6 +177,9 @@ func (t *S2Table) Walk(ipa IPA) (pa PA, perm Perm, levels int, ok bool) {
 	}
 	page := ipa &^ (PageSize - 1)
 	n := t.root
+	if n == nil {
+		return 0, 0, 1, false // the empty root table is still read
+	}
 	for level := 0; level < Levels-1; level++ {
 		levels++
 		n = n.children[indexAt(page, level)]

@@ -71,33 +71,29 @@ func (pc PathCosts) Micros(c cpu.Cycles) float64 {
 	return float64(c) / float64(pc.FreqMHz)
 }
 
-// MeasurePathCosts runs the suite and the probes against fresh platforms
-// from newHyp and assembles the PathCosts the workload models consume.
+// PathCostsHeader returns h's platform fields — Label, FreqMHz and Type1 —
+// with every cycle field zero. Read it before a benchmark runs on h.
+func PathCostsHeader(h hyp.Hypervisor) PathCosts {
+	return PathCosts{
+		Label:   h.Name(),
+		FreqMHz: h.Machine().Cost.FreqMHz,
+		Type1:   h.HType() == hyp.Type1,
+	}
+}
+
+// MeasurePathCosts runs the suite and the probe, each against a fresh
+// platform from newHyp, and assembles the PathCosts the workload models
+// consume.
 func MeasurePathCosts(newHyp func() hyp.Hypervisor) PathCosts {
-	probe := newHyp()
-	pc := PathCosts{
-		Label:   probe.Name(),
-		FreqMHz: probe.Machine().Cost.FreqMHz,
-		Type1:   probe.HType() == hyp.Type1,
-	}
-	for _, r := range RunAll(newHyp) {
-		switch r.Name {
-		case "Hypercall":
-			pc.Hypercall = r.Cycles
-		case "Interrupt Controller Trap":
-			pc.GICTrap = r.Cycles
-		case "Virtual IPI":
-			pc.VirtIPI = r.Cycles
-		case "Virtual IRQ Completion":
-			pc.VirqComplete = r.Cycles
-		case "VM Switch":
-			pc.VMSwitch = r.Cycles
-		case "I/O Latency Out":
-			pc.IOOut = r.Cycles
-		case "I/O Latency In":
-			pc.IOIn = r.Cycles
-		}
-	}
+	h := newHyp()
+	pc := PathCostsHeader(h)
+	pc.Hypercall = Hypercall(h).Cycles
+	pc.GICTrap = InterruptControllerTrap(newHyp()).Cycles
+	pc.VirtIPI = VirtualIPI(newHyp()).Cycles
+	pc.VirqComplete = VirtualIRQCompletion(newHyp()).Cycles
+	pc.VMSwitch = VMSwitch(newHyp()).Cycles
+	pc.IOOut = IOLatencyOut(newHyp()).Cycles
+	pc.IOIn = IOLatencyIn(newHyp()).Cycles
 	pc.VirqDeliverBusy = VirqDeliveryBusy(newHyp()).Cycles
 	return pc
 }

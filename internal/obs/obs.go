@@ -11,7 +11,7 @@
 // produce byte-identical event sequences.
 //
 // A Recorder is attached per machine (hw.Machine.SetRecorder) and holds one
-// fixed-capacity ring buffer per physical CPU plus one machine-level ring
+// bounded ring buffer per physical CPU plus one machine-level ring
 // for events with no CPU affinity. A nil *Recorder is valid and records
 // nothing, so instrumentation hooks stay in place at zero cost when
 // observability is off.
@@ -126,32 +126,39 @@ func (e Event) String() string {
 		int64(e.T), e.Kind, e.PCPU, e.VM, e.VCPU, e.Detail, e.Arg)
 }
 
-// ring is a fixed-capacity circular event buffer: when full, the oldest
-// event is overwritten and counted as dropped.
+// ring is a bounded circular event buffer: it grows on demand up to its
+// capacity, and once full the oldest event is overwritten and counted as
+// dropped.
 type ring struct {
-	buf     []Event
-	start   int // index of the oldest event
-	n       int // live event count
-	dropped int64
+	buf      []Event // the live events; grows until len(buf) == capacity
+	capacity int
+	start    int // index of the oldest event
+	dropped  int64
 }
 
-func newRing(capacity int) *ring { return &ring{buf: make([]Event, capacity)} }
+func newRing(capacity int) *ring { return &ring{capacity: capacity} }
 
 func (r *ring) push(ev Event) {
-	if r.n == len(r.buf) {
-		r.buf[r.start] = ev
-		r.start = (r.start + 1) % len(r.buf)
-		r.dropped++
+	if len(r.buf) < r.capacity {
+		// Not yet full, so nothing has wrapped: start is 0. Grow by
+		// doubling, never past capacity.
+		if len(r.buf) == cap(r.buf) {
+			grown := make([]Event, len(r.buf), min(max(2*len(r.buf), 8), r.capacity))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, ev)
 		return
 	}
-	r.buf[(r.start+r.n)%len(r.buf)] = ev
-	r.n++
+	r.buf[r.start] = ev
+	r.start = (r.start + 1) % len(r.buf)
+	r.dropped++
 }
 
 // events returns the live events oldest-first.
 func (r *ring) events() []Event {
-	out := make([]Event, 0, r.n)
-	for i := 0; i < r.n; i++ {
+	out := make([]Event, 0, len(r.buf))
+	for i := range r.buf {
 		out = append(out, r.buf[(r.start+i)%len(r.buf)])
 	}
 	return out
@@ -239,10 +246,7 @@ func (r *Recorder) Partition(nparts int, cpuPart []int) {
 			panic(fmt.Sprintf("obs: cpuPart entry %d out of range [0,%d)", p, nparts))
 		}
 	}
-	ringCap := DefaultRingCap
-	if len(r.rings) > 0 {
-		ringCap = len(r.rings[0].buf)
-	}
+	ringCap := r.rings[0].capacity
 	r.nparts = nparts
 	r.cpuPart = append([]int(nil), cpuPart...)
 	r.seqs = make([]uint64, nparts)
@@ -365,7 +369,7 @@ func (r *Recorder) Len() int {
 	}
 	n := 0
 	for _, rg := range r.rings {
-		n += rg.n
+		n += len(rg.buf)
 	}
 	return n
 }
@@ -430,7 +434,7 @@ func (r *Recorder) Reset() {
 		return
 	}
 	for i, rg := range r.rings {
-		r.rings[i] = newRing(len(rg.buf))
+		r.rings[i] = newRing(rg.capacity)
 	}
 	for p := range r.seqs {
 		r.seqs[p] = 0

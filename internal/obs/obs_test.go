@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -42,9 +44,9 @@ func TestEmitRouting(t *testing.T) {
 	if r.Total() != 4 || r.Len() != 4 {
 		t.Fatalf("total=%d len=%d, want 4/4", r.Total(), r.Len())
 	}
-	if r.rings[0].n != 1 || r.rings[1].n != 1 || r.rings[2].n != 2 {
+	if len(r.rings[0].buf) != 1 || len(r.rings[1].buf) != 1 || len(r.rings[2].buf) != 2 {
 		t.Fatalf("ring occupancy = %d/%d/%d, want 1/1/2",
-			r.rings[0].n, r.rings[1].n, r.rings[2].n)
+			len(r.rings[0].buf), len(r.rings[1].buf), len(r.rings[2].buf))
 	}
 
 	evs := r.Events()
@@ -87,6 +89,85 @@ func TestRecorderReset(t *testing.T) {
 	r.Emit(2, GuestExit, 0, "vm", 0, "wfi", 0)
 	if r.Events()[0].Seq != 1 {
 		t.Fatalf("Seq not restarted after Reset: %d", r.Events()[0].Seq)
+	}
+}
+
+// fixedRing is the preallocated ring the on-demand ring replaced, kept as
+// the reference TestRingGrowsLikeFixedRing compares against.
+type fixedRing struct {
+	buf      []Event
+	start, n int
+	dropped  int64
+}
+
+func (f *fixedRing) push(ev Event) {
+	if f.n == len(f.buf) {
+		f.buf[f.start] = ev
+		f.start = (f.start + 1) % len(f.buf)
+		f.dropped++
+		return
+	}
+	f.buf[(f.start+f.n)%len(f.buf)] = ev
+	f.n++
+}
+
+func (f *fixedRing) events() []Event {
+	out := make([]Event, 0, f.n)
+	for i := 0; i < f.n; i++ {
+		out = append(out, f.buf[(f.start+i)%len(f.buf)])
+	}
+	return out
+}
+
+// TestRingGrowsLikeFixedRing: a ring that allocates on demand retains,
+// wraps and drops exactly as a preallocated ring of the same capacity,
+// after every push, and never grows past its capacity. Reset and
+// Partition keep the capacity.
+func TestRingGrowsLikeFixedRing(t *testing.T) {
+	for _, capacity := range []int{1, 3, 8, 9, 100} {
+		r, ref := newRing(capacity), &fixedRing{buf: make([]Event, capacity)}
+		for i := 0; i < 3*capacity+5; i++ {
+			ev := Event{Seq: uint64(i + 1), Arg: int64(i)}
+			r.push(ev)
+			ref.push(ev)
+			if !reflect.DeepEqual(r.events(), ref.events()) || r.dropped != ref.dropped {
+				t.Fatalf("cap %d after %d pushes: events %v dropped %d, want %v dropped %d",
+					capacity, i+1, r.events(), r.dropped, ref.events(), ref.dropped)
+			}
+			if cap(r.buf) > capacity {
+				t.Fatalf("cap %d: buffer grew to %d", capacity, cap(r.buf))
+			}
+		}
+	}
+
+	rec := NewRecorder(2, 4)
+	rec.Partition(2, []int{0, 1})
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 10; i++ {
+			rec.Emit(sim.Time(i), VirqInject, 1, "vm", 0, "", int64(i))
+		}
+		if rec.Len() != 4 || rec.Dropped() != 6 {
+			t.Fatalf("round %d: len=%d dropped=%d, want 4/6", round, rec.Len(), rec.Dropped())
+		}
+		rec.Reset()
+	}
+}
+
+// TestRecorderAllocatesOnFirstUse: building PD1's recorder (9 rings of
+// 1<<12 events, then partitioned 8 ways) allocates no event storage until
+// events arrive; preallocated rings cost about 8 MB here.
+func TestRecorderAllocatesOnFirstUse(t *testing.T) {
+	const runs = 10
+	cpuPart := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		r := NewRecorder(9, 1<<12)
+		r.Partition(8, cpuPart)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("NewRecorder+Partition allocated %d bytes, want < 64 KB", per)
 	}
 }
 
