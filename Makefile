@@ -22,7 +22,7 @@ vet:
 	$(GO) vet ./...
 
 # lint runs go vet as the baseline plus armvirt-vet, the repo's own
-# eight-analyzer suite (determinism, instrumentation, and cross-package
+# seven-analyzer suite (determinism, instrumentation, and cross-package
 # invariants; see DESIGN.md §9 and §14). -timing prints the per-analyzer
 # cost and -budget fails the target if the whole suite ever gets slow
 # enough to tempt people into skipping it.
@@ -84,13 +84,18 @@ telemetry-determinism:
 	@grep -q ',steal,' /tmp/telemetry-par1.csv || { echo "no steal series in PD1 telemetry"; exit 1; }
 	@echo "telemetry-determinism: OK (PD1 series byte-identical at GOMAXPROCS=1 and GOMAXPROCS=4)"
 
-# bench-smoke runs the engine hot-path microbenchmarks briefly, plus one
-# iteration of the fleet on the partitioned engine at one window worker and
-# on the serial engine, so the partitioned path runs under a benchmark too,
-# and one iteration of each registry experiment (wall time and allocations
-# per experiment).
+# bench-smoke runs, briefly:
+#  - the engine hot-path microbenchmarks;
+#  - one iteration of the Hypercall and VM Switch microbenchmarks, whose
+#    allocs/op show what a world switch allocates;
+#  - one iteration of the fleet on the partitioned engine at one window
+#    worker and on the serial engine, so the partitioned path runs under a
+#    benchmark too;
+#  - one iteration of each registry experiment (wall time and allocations
+#    per experiment).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventDispatch|BenchmarkProcSwitch|BenchmarkQueueSendRecv' -benchmem -benchtime 100ms ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkTable2_Hypercall|BenchmarkTable2_VMSwitch' -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetSpeedup/par=1$$|BenchmarkFleetSerialEngine' -benchmem -benchtime 1x ./internal/workload
 	$(GO) test -run '^$$' -bench 'BenchmarkExperiment' -benchmem -benchtime 1x ./internal/core
 

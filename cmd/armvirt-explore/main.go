@@ -43,18 +43,20 @@ func (s *sweepResult) addRow(r bench.Row) { s.rows = append(s.rows, r) }
 
 var _ bench.Result = (*sweepResult)(nil)
 
+// sweeps maps each -sweep name to its run function.
+var sweeps = map[string]func() bench.Result{
+	"vgic":      sweepVGIC,
+	"idlewake":  sweepIdleWake,
+	"grantcopy": sweepGrantCopy,
+	"events":    sweepEvents,
+	"quantum":   sweepQuantum,
+}
+
 func main() {
 	sweep := flag.String("sweep", "vgic", "which sweep to run: vgic, idlewake, grantcopy, events, quantum")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON (structured result rows) instead of the table")
 	flag.Parse()
 
-	sweeps := map[string]func() bench.Result{
-		"vgic":      sweepVGIC,
-		"idlewake":  sweepIdleWake,
-		"grantcopy": sweepGrantCopy,
-		"events":    sweepEvents,
-		"quantum":   sweepQuantum,
-	}
 	run, ok := sweeps[*sweep]
 	if !ok {
 		names := make([]string, 0, len(sweeps))

@@ -15,7 +15,9 @@
 //	mapiter      no map-iteration order leaking into emitted rows
 //	nilrecorder  nil-receiver guards on obs.Recorder methods; no
 //	             allocating arguments at recorder call sites
-//	spanbalance  every Span paired with an EndSpan on all return paths
+//
+// Profiler spans need no analyzer: obs.InSpan closes each one when its
+// closure returns.
 //
 // Cross-package analyzers, over the module call graph (DESIGN.md §14):
 //

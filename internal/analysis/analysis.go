@@ -11,12 +11,13 @@
 // The suite exists to enforce, at compile time, the invariants the repo's
 // determinism story (DESIGN.md §6) otherwise checks only at runtime:
 // byte-identical report and profile output across runs and -j levels.
-// Four analyzers guard the four ways that property has historically been
-// lost: wall-clock or entropy reads inside the simulated world (detclock),
-// map-iteration order leaking into emitted rows (mapiter), missing
-// nil-receiver guards or argument allocation defeating the nil-recorder
-// zero-cost idiom (nilrecorder), and unbalanced Span/EndSpan pairs leaving
-// the profiler's phase tree open (spanbalance).
+// Three analyzers guard the three ways that property has historically
+// been lost: wall-clock or entropy reads inside the simulated world
+// (detclock), map-iteration order leaking into emitted rows (mapiter), and
+// missing nil-receiver guards or argument allocation defeating the
+// nil-recorder zero-cost idiom (nilrecorder). Profiler spans need no
+// analyzer: obs.InSpan scopes each one by a closure, so it cannot be left
+// open.
 //
 // Four more analyzers (DESIGN.md §14) work cross-package, over the
 // Module fact base built once per Run: partition-dispatch code must not
@@ -88,11 +89,11 @@ type Diagnostic struct {
 	pos, end token.Position
 }
 
-// Analyzers lists the full suite in stable order: the four per-package
-// analyzers from the original suite, then the four cross-package ones.
+// Analyzers lists the full suite in stable order: the three per-package
+// analyzers, then the four cross-package ones.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Detclock, Mapiter, Nilrecorder, Spanbalance,
+		Detclock, Mapiter, Nilrecorder,
 		Partsafe, Bindcheck, Layering, Errsink,
 	}
 }

@@ -1,8 +1,8 @@
 // Cross-package facts: the module-wide layer under the partsafe and
 // bindcheck analyzers.
 //
-// The per-package analyzers from the original suite (detclock, mapiter,
-// nilrecorder, spanbalance) are syntactic: everything they need is visible
+// The per-package analyzers (detclock, mapiter, nilrecorder) are
+// syntactic: everything they need is visible
 // in one type-checked package. The invariants the parallel engine
 // (DESIGN.md §11) and the goroutine-bound run scope (§10, §12) introduced
 // are not package-local — whether a function runs inside partitioned

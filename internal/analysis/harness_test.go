@@ -4,7 +4,8 @@
 // trailing `// want "regexp"` comments on the offending line. A fixture
 // with no want comments asserts the analyzer stays silent on it — the
 // negative fixtures (allowlisted wallclock package, blessed sort-after
-// iteration, deferred EndSpan) are as load-bearing as the positive ones.
+// iteration, guarded recorder calls) are as load-bearing as the positive
+// ones.
 package analysis
 
 import (

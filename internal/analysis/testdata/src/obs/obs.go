@@ -1,6 +1,6 @@
 // Package obs is the analysistest stand-in for the real recorder: a named
 // type Recorder in a package called obs, which is exactly what the
-// nilrecorder and spanbalance analyzers key on. It doubles as the
+// nilrecorder analyzer keys on. It doubles as the
 // definition-site fixture for nilrecorder: exported pointer-receiver
 // methods must open with the nil-receiver guard.
 package obs
@@ -27,17 +27,9 @@ func (r *Recorder) Attach(v any) {
 	r.n++
 }
 
-// Span opens a phase.
-func (r *Recorder) Span(name string) {
-	if r == nil {
-		return
-	}
-	r.n++
-}
-
-// EndSpan closes the innermost phase; the guard may carry extra ||-joined
+// Pop undoes the last Emit; the guard may carry extra ||-joined
 // conditions.
-func (r *Recorder) EndSpan() {
+func (r *Recorder) Pop() {
 	if r == nil || r.n == 0 {
 		return
 	}

@@ -494,8 +494,8 @@ func RunVHE() VHEResult {
 	for i, r := range base {
 		out.Micro[r.Name] = [3]float64{float64(r.Cycles), float64(vhe[i].Cycles), float64(xen[i].Cycles)}
 	}
-	pcBase := micro.MeasurePathCosts(f["KVM ARM"])
-	pcVHE := micro.MeasurePathCosts(f["KVM ARM (VHE)"])
+	pcBase := micro.PathCostsFrom(f["KVM ARM"], base)
+	pcVHE := micro.PathCostsFrom(f["KVM ARM (VHE)"], vhe)
 	out.ApacheOverhead = [2]float64{
 		workload.Apache().Overhead(pcBase, false), workload.Apache().Overhead(pcVHE, false)}
 	prm := workload.DefaultParams()

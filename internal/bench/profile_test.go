@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"armvirt/internal/micro"
@@ -97,5 +99,33 @@ func TestPhaseBreakdownRows(t *testing.T) {
 	}
 	if phaseSum != total {
 		t.Errorf("row phase sum %v != total row %v", phaseSum, total)
+	}
+}
+
+// TestPhaseBreakdownFoldedGolden pins the folded profile across changes,
+// not only across -j: a label renamed the same way at every parallelism
+// level passes the determinism checks but fails here. The goldens are
+// armvirt-prof's own output; regenerate them deliberately from the repo
+// root with
+//
+//	go run ./cmd/armvirt-prof -folded > internal/bench/testdata/phases.folded
+//	go run ./cmd/armvirt-prof -platform "KVM ARM (VHE)" -folded > internal/bench/testdata/phases-vhe.folded
+//
+// The VHE file covers the "save (other VM)" labels of its vmswitch op.
+func TestPhaseBreakdownFoldedGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		labels []string
+	}{
+		{"phases.folded", nil},
+		{"phases-vhe.folded", []string{"KVM ARM (VHE)"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := RunPhaseBreakdowns(tc.labels, nil, 2).Folded(); got != string(want) {
+			t.Errorf("folded profile drifted from testdata/%s\n got:\n%s\nwant:\n%s", tc.golden, got, want)
+		}
 	}
 }

@@ -31,7 +31,7 @@ type PCPU struct {
 	mode Mode
 	// resident[class] is the context whose state currently occupies that
 	// register class in hardware.
-	resident [numRegClasses]ContextID
+	resident [NumRegClasses]ContextID
 	// stage2 is true when Stage-2 translation (ARM) / EPT (x86) is active.
 	stage2 bool
 	// trapsEnabled is true when sensitive-instruction traps to the

@@ -32,7 +32,7 @@ type CostModel struct {
 	ERET Cycles
 	// Class gives the memory save/restore cost of each ARM register
 	// class; Table III is the source of these values.
-	Class [numRegClasses]SaveRestore
+	Class [NumRegClasses]SaveRestore
 	// Stage2Toggle enables or disables Stage-2 translation from EL2
 	// (VTCR/VTTBR + HCR_EL2.VM write, one direction).
 	Stage2Toggle Cycles
@@ -112,7 +112,7 @@ func (cm *CostModel) Validate() error {
 			return fmt.Errorf("cpu: cost model %s = %d, must not be negative", p.name, p.c)
 		}
 	}
-	for cls := RegClass(0); cls < numRegClasses; cls++ {
+	for cls := RegClass(0); cls < NumRegClasses; cls++ {
 		sr := cm.Class[cls]
 		if sr.Save < 0 || sr.Restore < 0 {
 			return fmt.Errorf("cpu: cost model class %v save/restore = %d/%d, must not be negative",

@@ -110,7 +110,8 @@ const (
 	// VMCS is the x86 VM control structure: the full guest/host state
 	// image that hardware transfers on VM entry/exit.
 	VMCS
-	numRegClasses
+	// NumRegClasses is the class count, for tables indexed by RegClass.
+	NumRegClasses
 )
 
 func (c RegClass) String() string {

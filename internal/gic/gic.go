@@ -138,9 +138,6 @@ func (d *Distributor) NCPU() int { return d.nCPU }
 // Enable marks an interrupt as forwardable.
 func (d *Distributor) Enable(irq IRQ) { d.enable[irq] = true }
 
-// Disable masks an interrupt.
-func (d *Distributor) Disable(irq IRQ) { d.enable[irq] = false }
-
 // Enabled reports whether the interrupt is enabled.
 func (d *Distributor) Enabled(irq IRQ) bool { return d.enable[irq] }
 

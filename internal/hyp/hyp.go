@@ -172,27 +172,58 @@ func (v *VCPU) Charge(p *sim.Proc, name string, c cpu.Cycles) {
 	p.Sleep(sim.Time(c))
 }
 
-// ChargeSpanned charges c cycles to name under a span opened (and closed)
-// just for this charge: Span(span); Charge(name, c); EndSpan. It exists so
-// call sites that span a single charge — the VGIC class inside a
-// save/restore loop — stay statically balanced for armvirt-vet's
-// spanbalance analyzer instead of opening and closing across correlated
-// if statements.
-func (v *VCPU) ChargeSpanned(p *sim.Proc, span, name string, c cpu.Cycles) {
-	v.Span(p, span)
-	defer v.EndSpan(p)
-	v.Charge(p, name, c)
+// InSpan runs fn inside the named profiling phase on the fiber p: cycles
+// charged while fn runs are attributed under it, and the phase closes when
+// fn returns or panics. Without a recorder fn just runs.
+func (v *VCPU) InSpan(p *sim.Proc, name string, fn func()) {
+	obs.InSpan(v.VM.Hyp.Machine().Rec, p, name, fn)
 }
 
-// Span opens a named profiling phase on the fiber p; cycles charged until
-// the matching EndSpan are attributed under it. No-op without a recorder.
-func (v *VCPU) Span(p *sim.Proc, name string) {
-	v.VM.Hyp.Machine().Rec.Span(p, name)
-}
+// StateOp is the direction of a register-state charge.
+type StateOp int
 
-// EndSpan closes the fiber's innermost profiling phase.
-func (v *VCPU) EndSpan(p *sim.Proc) {
-	v.VM.Hyp.Machine().Rec.EndSpan(p)
+const (
+	// Save moves register state from the hardware to memory.
+	Save StateOp = iota
+	// Restore moves register state from memory into the hardware.
+	Restore
+	// SaveOtherVM saves the previous VM's state on a VHE switch to a
+	// different VM, charged as a save under its own label.
+	SaveOtherVM
+	numStateOps
+)
+
+// stateLabels holds the profiler label of every (op, class) state charge,
+// "VGIC Regs: save" and so on, built once so a world switch builds no
+// strings.
+var stateLabels = func() (t [numStateOps][cpu.NumRegClasses]string) {
+	suffix := [numStateOps]string{Save: ": save", Restore: ": restore", SaveOtherVM: ": save (other VM)"}
+	for op := range t {
+		for cls := range t[op] {
+			t[op][cls] = cpu.RegClass(cls).String() + suffix[op]
+		}
+	}
+	return t
+}()
+
+// ChargeState charges the memory cost of moving each class in classes in
+// direction op, one profiler leaf per class: the per-class rows of Table
+// III. The VGIC charge runs inside the gic-save or gic-restore phase, so
+// breakdowns group the GIC share of a world switch under one frame.
+func (v *VCPU) ChargeState(p *sim.Proc, classes []cpu.RegClass, op StateOp) {
+	cm := v.VM.Hyp.Machine().Cost
+	for _, cls := range classes {
+		c, span := cm.Class[cls].Save, gic.SpanSave
+		if op == Restore {
+			c, span = cm.Class[cls].Restore, gic.SpanRestore
+		}
+		label := stateLabels[op][cls]
+		if cls == cpu.VGIC {
+			v.InSpan(p, span, func() { v.Charge(p, label, c) })
+		} else {
+			v.Charge(p, label, c)
+		}
+	}
 }
 
 // Hypervisor is the operation surface both hypervisor models implement.

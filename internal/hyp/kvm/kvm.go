@@ -108,44 +108,38 @@ func (k *KVM) exitToHost(p *sim.Proc, v *hyp.VCPU) {
 	if !v.InGuest {
 		panic(fmt.Sprintf("kvm: exitToHost for %v which is not in guest", v))
 	}
-	v.Span(p, "exit-to-host")
-	defer v.EndSpan(p)
-	pc := v.CPU
-	cm := k.m.Cost
-	switch {
-	case k.m.Arch == cpu.X86:
-		v.Charge(p, "VM exit (VMCS hardware switch)", cm.VMExitHW)
-		pc.P.Trap()
-	case k.vhe:
-		v.Charge(p, "trap to EL2", cm.TrapToEL2)
-		pc.P.Trap()
-		v.Charge(p, "GP Regs: save", cm.Class[cpu.GP].Save)
-		pc.P.SaveState(v.Ctx, cpu.GP)
-		pc.P.LoadState(k.hostCtx(pc), cpu.GP)
-		pc.P.EnterHostKernel() // stays in EL2 under VHE
-	default:
-		v.Charge(p, "trap to EL2", cm.TrapToEL2)
-		pc.P.Trap()
-		for _, cls := range armAllClasses {
-			if cls == cpu.VGIC {
-				v.ChargeSpanned(p, gic.SpanSave, cls.String()+": save", cm.Class[cls].Save)
-			} else {
-				v.Charge(p, cls.String()+": save", cm.Class[cls].Save)
-			}
+	v.InSpan(p, "exit-to-host", func() {
+		pc := v.CPU
+		cm := k.m.Cost
+		switch {
+		case k.m.Arch == cpu.X86:
+			v.Charge(p, "VM exit (VMCS hardware switch)", cm.VMExitHW)
+			pc.P.Trap()
+		case k.vhe:
+			v.Charge(p, "trap to EL2", cm.TrapToEL2)
+			pc.P.Trap()
+			v.Charge(p, "GP Regs: save", cm.Class[cpu.GP].Save)
+			pc.P.SaveState(v.Ctx, cpu.GP)
+			pc.P.LoadState(k.hostCtx(pc), cpu.GP)
+			pc.P.EnterHostKernel() // stays in EL2 under VHE
+		default:
+			v.Charge(p, "trap to EL2", cm.TrapToEL2)
+			pc.P.Trap()
+			v.ChargeState(p, armAllClasses, hyp.Save)
+			v.VgicImage = pc.VIface.SaveImage()
+			pc.P.SaveState(v.Ctx, armAllClasses...)
+			v.Charge(p, "disable Stage-2 and traps", cm.Stage2Toggle+cm.TrapToggle)
+			pc.P.DisableStage2()
+			pc.P.DisableTraps()
+			v.Charge(p, "restore host context", k.c.HostCtxRestore)
+			pc.P.LoadState(k.hostCtx(pc), hostClasses...)
+			v.Charge(p, "eret to host EL1", cm.ERET)
+			pc.P.EnterHostKernel()
+			k.resident[pc.P.ID()] = nil
+			v.Resident = false
 		}
-		v.VgicImage = pc.VIface.SaveImage()
-		pc.P.SaveState(v.Ctx, armAllClasses...)
-		v.Charge(p, "disable Stage-2 and traps", cm.Stage2Toggle+cm.TrapToggle)
-		pc.P.DisableStage2()
-		pc.P.DisableTraps()
-		v.Charge(p, "restore host context", k.c.HostCtxRestore)
-		pc.P.LoadState(k.hostCtx(pc), hostClasses...)
-		v.Charge(p, "eret to host EL1", cm.ERET)
-		pc.P.EnterHostKernel()
-		k.resident[pc.P.ID()] = nil
-		v.Resident = false
-	}
-	v.InGuest = false
+		v.InGuest = false
+	})
 }
 
 // enterGuest is the hypervisor-to-VM transition.
@@ -153,86 +147,68 @@ func (k *KVM) enterGuest(p *sim.Proc, v *hyp.VCPU) {
 	if v.InGuest {
 		panic(fmt.Sprintf("kvm: enterGuest for %v which is already in guest", v))
 	}
-	v.Span(p, "enter-guest")
-	defer v.EndSpan(p)
-	pc := v.CPU
-	cm := k.m.Cost
-	switch {
-	case k.m.Arch == cpu.X86:
-		cur := k.resident[pc.P.ID()]
-		if cur != v {
-			v.Charge(p, "VMCS switch (vmclear/vmptrld)", cm.VMCSSwitch)
-			if cur != nil {
-				pc.P.SaveState(cur.Ctx, cpu.VMCS)
-				cur.Resident = false
-			}
-			pc.P.LoadState(v.Ctx, cpu.VMCS)
-			k.resident[pc.P.ID()] = v
-			v.Resident = true
-		}
-		v.Charge(p, "VM entry (VMCS hardware switch)", cm.VMEntryHW)
-		pc.P.EnterGuestKernel()
-	case k.vhe:
-		cur := k.resident[pc.P.ID()]
-		if cur != v {
-			// Switching to a different VM under VHE still context
-			// switches the guest-owned state (but never the host's,
-			// which lives in EL2 registers).
-			if cur != nil {
-				for _, cls := range armAllClasses[1:] { // GP already saved at exit
-					if cls == cpu.VGIC {
-						v.ChargeSpanned(p, gic.SpanSave, cls.String()+": save (other VM)", cm.Class[cls].Save)
-					} else {
-						v.Charge(p, cls.String()+": save (other VM)", cm.Class[cls].Save)
-					}
+	v.InSpan(p, "enter-guest", func() {
+		pc := v.CPU
+		cm := k.m.Cost
+		switch {
+		case k.m.Arch == cpu.X86:
+			cur := k.resident[pc.P.ID()]
+			if cur != v {
+				v.Charge(p, "VMCS switch (vmclear/vmptrld)", cm.VMCSSwitch)
+				if cur != nil {
+					pc.P.SaveState(cur.Ctx, cpu.VMCS)
+					cur.Resident = false
 				}
-				cur.VgicImage = pc.VIface.SaveImage()
-				pc.P.SaveState(cur.Ctx, armAllClasses[1:]...)
-				cur.Resident = false
+				pc.P.LoadState(v.Ctx, cpu.VMCS)
+				k.resident[pc.P.ID()] = v
+				v.Resident = true
 			}
-			for _, cls := range armAllClasses[1:] {
-				if cls == cpu.VGIC {
-					v.ChargeSpanned(p, gic.SpanRestore, cls.String()+": restore", cm.Class[cls].Restore)
-				} else {
-					v.Charge(p, cls.String()+": restore", cm.Class[cls].Restore)
+			v.Charge(p, "VM entry (VMCS hardware switch)", cm.VMEntryHW)
+			pc.P.EnterGuestKernel()
+		case k.vhe:
+			cur := k.resident[pc.P.ID()]
+			if cur != v {
+				// Switching to a different VM under VHE still context
+				// switches the guest-owned state (but never the host's,
+				// which lives in EL2 registers).
+				if cur != nil {
+					v.ChargeState(p, armAllClasses[1:], hyp.SaveOtherVM) // GP already saved at exit
+					cur.VgicImage = pc.VIface.SaveImage()
+					pc.P.SaveState(cur.Ctx, armAllClasses[1:]...)
+					cur.Resident = false
 				}
+				v.ChargeState(p, armAllClasses[1:], hyp.Restore)
+				pc.VIface.LoadImage(v.VgicImage)
+				pc.P.LoadState(v.Ctx, armAllClasses[1:]...)
+				k.resident[pc.P.ID()] = v
+				v.Resident = true
 			}
+			v.Charge(p, "GP Regs: restore", cm.Class[cpu.GP].Restore)
+			pc.P.SaveState(k.hostCtx(pc), cpu.GP)
+			pc.P.LoadState(v.Ctx, cpu.GP)
+			v.Charge(p, "eret to guest", cm.ERET)
+			pc.P.EnterGuestKernel()
+			pc.P.RequireGuestRunnable(v.Ctx)
+		default:
+			v.Charge(p, "hvc to EL2", cm.TrapToEL2)
+			pc.P.Trap()
+			v.Charge(p, "save host context", k.c.HostCtxSave)
+			pc.P.SaveState(k.hostCtx(pc), hostClasses...)
+			v.Charge(p, "enable Stage-2 and traps", cm.Stage2Toggle+cm.TrapToggle)
+			pc.P.EnableStage2()
+			pc.P.EnableTraps()
+			v.ChargeState(p, armAllClasses, hyp.Restore)
 			pc.VIface.LoadImage(v.VgicImage)
-			pc.P.LoadState(v.Ctx, armAllClasses[1:]...)
+			pc.P.LoadState(v.Ctx, armAllClasses...)
+			v.Charge(p, "eret to guest", cm.ERET)
+			pc.P.EnterGuestKernel()
 			k.resident[pc.P.ID()] = v
 			v.Resident = true
+			pc.P.RequireGuestRunnable(v.Ctx)
 		}
-		v.Charge(p, "GP Regs: restore", cm.Class[cpu.GP].Restore)
-		pc.P.SaveState(k.hostCtx(pc), cpu.GP)
-		pc.P.LoadState(v.Ctx, cpu.GP)
-		v.Charge(p, "eret to guest", cm.ERET)
-		pc.P.EnterGuestKernel()
-		pc.P.RequireGuestRunnable(v.Ctx)
-	default:
-		v.Charge(p, "hvc to EL2", cm.TrapToEL2)
-		pc.P.Trap()
-		v.Charge(p, "save host context", k.c.HostCtxSave)
-		pc.P.SaveState(k.hostCtx(pc), hostClasses...)
-		v.Charge(p, "enable Stage-2 and traps", cm.Stage2Toggle+cm.TrapToggle)
-		pc.P.EnableStage2()
-		pc.P.EnableTraps()
-		for _, cls := range armAllClasses {
-			if cls == cpu.VGIC {
-				v.ChargeSpanned(p, gic.SpanRestore, cls.String()+": restore", cm.Class[cls].Restore)
-			} else {
-				v.Charge(p, cls.String()+": restore", cm.Class[cls].Restore)
-			}
-		}
-		pc.VIface.LoadImage(v.VgicImage)
-		pc.P.LoadState(v.Ctx, armAllClasses...)
-		v.Charge(p, "eret to guest", cm.ERET)
-		pc.P.EnterGuestKernel()
-		k.resident[pc.P.ID()] = v
-		v.Resident = true
-		pc.P.RequireGuestRunnable(v.Ctx)
-	}
-	v.InGuest = true
-	v.Emit(obs.GuestEnter, "", 0)
+		v.InGuest = true
+		v.Emit(obs.GuestEnter, "", 0)
+	})
 }
 
 // EnterGuest implements hyp.Hypervisor. For x86 the first entry loads the
@@ -248,11 +224,11 @@ func (k *KVM) ExitGuest(p *sim.Proc, v *hyp.VCPU) { k.exitToHost(p, v) }
 // Table II row 1.
 func (k *KVM) Hypercall(p *sim.Proc, v *hyp.VCPU) {
 	v.CountExit("hypercall")
-	v.Span(p, "hypercall")
-	defer v.EndSpan(p)
-	k.exitToHost(p, v)
-	v.Charge(p, "hypercall handler", k.c.HostHandler)
-	k.enterGuest(p, v)
+	v.InSpan(p, "hypercall", func() {
+		k.exitToHost(p, v)
+		v.Charge(p, "hypercall handler", k.c.HostHandler)
+		k.enterGuest(p, v)
+	})
 }
 
 // GICTrap implements hyp.Hypervisor: emulated interrupt-controller access,
@@ -260,30 +236,30 @@ func (k *KVM) Hypercall(p *sim.Proc, v *hyp.VCPU) {
 // the full world switch is paid around it.
 func (k *KVM) GICTrap(p *sim.Proc, v *hyp.VCPU) {
 	v.CountExit("mmio")
-	v.Span(p, "gic-trap")
-	defer v.EndSpan(p)
-	if k.m.Arch == cpu.X86 {
+	v.InSpan(p, "gic-trap", func() {
+		if k.m.Arch == cpu.X86 {
+			k.exitToHost(p, v)
+			v.Charge(p, "APIC access emulation", k.c.APICAccess)
+			k.enterGuest(p, v)
+			return
+		}
+		v.Charge(p, "MMIO syndrome decode", k.c.MMIODecode)
 		k.exitToHost(p, v)
-		v.Charge(p, "APIC access emulation", k.c.APICAccess)
+		v.Charge(p, "GIC distributor emulation", k.c.GICDistEmulate)
 		k.enterGuest(p, v)
-		return
-	}
-	v.Charge(p, "MMIO syndrome decode", k.c.MMIODecode)
-	k.exitToHost(p, v)
-	v.Charge(p, "GIC distributor emulation", k.c.GICDistEmulate)
-	k.enterGuest(p, v)
+	})
 }
 
 // SendVirtIPI implements hyp.Hypervisor: Table II row 3, sender half.
 func (k *KVM) SendVirtIPI(p *sim.Proc, v *hyp.VCPU, target *hyp.VCPU) {
 	v.CountExit("sgi")
-	v.Span(p, "send-virt-ipi")
-	defer v.EndSpan(p)
-	k.exitToHost(p, v)
-	v.Charge(p, "SGI emulation (mark pending)", k.c.SGIEmulate)
-	target.PostSoft(hyp.VirqGuestIPI)
-	k.m.SendIPI(p, target.CPU.P.ID(), hyp.SGIVirtIPI)
-	k.enterGuest(p, v)
+	v.InSpan(p, "send-virt-ipi", func() {
+		k.exitToHost(p, v)
+		v.Charge(p, "SGI emulation (mark pending)", k.c.SGIEmulate)
+		target.PostSoft(hyp.VirqGuestIPI)
+		k.m.SendIPI(p, target.CPU.P.ID(), hyp.SGIVirtIPI)
+		k.enterGuest(p, v)
+	})
 }
 
 // HandlePhysIRQ implements hyp.Hypervisor: a physical interrupt while in
@@ -291,16 +267,16 @@ func (k *KVM) SendVirtIPI(p *sim.Proc, v *hyp.VCPU, target *hyp.VCPU) {
 // the vgic, and re-enters.
 func (k *KVM) HandlePhysIRQ(p *sim.Proc, v *hyp.VCPU, d gic.Delivery) {
 	v.CountExit("irq")
-	v.Span(p, "phys-irq")
-	defer v.EndSpan(p)
-	k.exitToHost(p, v)
-	v.Charge(p, "host GIC ack/EOI", k.c.PhysIRQAck)
-	for _, virq := range hyp.TranslateDelivery(v, d) {
-		v.Charge(p, "virq inject", k.c.VirqInject)
-		v.InjectVirq(virq)
-	}
-	k.enterGuest(p, v)
-	v.Charge(p, "guest IRQ entry", k.c.GuestIRQEntry)
+	v.InSpan(p, "phys-irq", func() {
+		k.exitToHost(p, v)
+		v.Charge(p, "host GIC ack/EOI", k.c.PhysIRQAck)
+		for _, virq := range hyp.TranslateDelivery(v, d) {
+			v.Charge(p, "virq inject", k.c.VirqInject)
+			v.InjectVirq(virq)
+		}
+		k.enterGuest(p, v)
+		v.Charge(p, "guest IRQ entry", k.c.GuestIRQEntry)
+	})
 }
 
 // BlockInGuest implements hyp.Hypervisor: guest WFI/HLT. The VCPU thread
@@ -308,25 +284,25 @@ func (k *KVM) HandlePhysIRQ(p *sim.Proc, v *hyp.VCPU, d gic.Delivery) {
 // the guest.
 func (k *KVM) BlockInGuest(p *sim.Proc, v *hyp.VCPU) {
 	v.CountExit("wfi")
-	v.Span(p, "wfi-block")
-	defer v.EndSpan(p)
-	k.exitToHost(p, v)
-	v.Charge(p, "host: deschedule VCPU thread", k.c.BlockVCPU)
-	d := v.CPU.IRQ.Recv(p)
-	if d.At > 0 {
-		k.m.Tel.ObserveIRQLatency(v.CPU.P.ID(), p.Now()-d.At)
-	}
-	// The wake is a host-scheduler context switch from the idle thread
-	// back onto the VCPU thread: the PCPU changes VM context.
-	v.Emit(obs.VMSwitch, "vcpu-wake", int64(d.IRQ))
-	v.Charge(p, "host IRQ entry + VCPU thread wake", k.c.VCPUWake)
-	v.Charge(p, "host GIC ack/EOI", k.c.PhysIRQAck)
-	for _, virq := range hyp.TranslateDelivery(v, d) {
-		v.Charge(p, "virq inject", k.c.VirqInject)
-		v.InjectVirq(virq)
-	}
-	k.enterGuest(p, v)
-	v.Charge(p, "guest IRQ entry", k.c.GuestIRQEntry)
+	v.InSpan(p, "wfi-block", func() {
+		k.exitToHost(p, v)
+		v.Charge(p, "host: deschedule VCPU thread", k.c.BlockVCPU)
+		d := v.CPU.IRQ.Recv(p)
+		if d.At > 0 {
+			k.m.Tel.ObserveIRQLatency(v.CPU.P.ID(), p.Now()-d.At)
+		}
+		// The wake is a host-scheduler context switch from the idle thread
+		// back onto the VCPU thread: the PCPU changes VM context.
+		v.Emit(obs.VMSwitch, "vcpu-wake", int64(d.IRQ))
+		v.Charge(p, "host IRQ entry + VCPU thread wake", k.c.VCPUWake)
+		v.Charge(p, "host GIC ack/EOI", k.c.PhysIRQAck)
+		for _, virq := range hyp.TranslateDelivery(v, d) {
+			v.Charge(p, "virq inject", k.c.VirqInject)
+			v.InjectVirq(virq)
+		}
+		k.enterGuest(p, v)
+		v.Charge(p, "guest IRQ entry", k.c.GuestIRQEntry)
+	})
 }
 
 // CompleteVirq implements hyp.Hypervisor: Table II row 4. ARM hardware
@@ -334,24 +310,24 @@ func (k *KVM) BlockInGuest(p *sim.Proc, v *hyp.VCPU) {
 // the EOI write.
 func (k *KVM) CompleteVirq(p *sim.Proc, v *hyp.VCPU, virq gic.IRQ) {
 	cm := k.m.Cost
-	v.Span(p, "virq-complete")
-	defer v.EndSpan(p)
-	if k.m.Arch == cpu.ARM {
-		v.Charge(p, "virq ack+complete (no trap)", cm.VirqCompleteHW)
-		v.CPU.VIface.Complete(virq)
-		v.CPU.VIface.RefillFromOverflow()
-		return
-	}
-	if k.m.VAPIC {
-		v.Charge(p, "virq ack+complete (vAPIC)", cm.VirqCompleteHW)
+	v.InSpan(p, "virq-complete", func() {
+		if k.m.Arch == cpu.ARM {
+			v.Charge(p, "virq ack+complete (no trap)", cm.VirqCompleteHW)
+			v.CPU.VIface.Complete(virq)
+			v.CPU.VIface.RefillFromOverflow()
+			return
+		}
+		if k.m.VAPIC {
+			v.Charge(p, "virq ack+complete (vAPIC)", cm.VirqCompleteHW)
+			v.CPU.LAPIC.EOIVirtual(virq)
+			return
+		}
+		v.CountExit("eoi")
+		k.exitToHost(p, v)
+		v.Charge(p, "EOI emulation", k.c.EOIEmulate)
 		v.CPU.LAPIC.EOIVirtual(virq)
-		return
-	}
-	v.CountExit("eoi")
-	k.exitToHost(p, v)
-	v.Charge(p, "EOI emulation", k.c.EOIEmulate)
-	v.CPU.LAPIC.EOIVirtual(virq)
-	k.enterGuest(p, v)
+		k.enterGuest(p, v)
+	})
 }
 
 // SwitchVM implements hyp.Hypervisor: Table II row 5. KVM switches VMs by
@@ -363,11 +339,11 @@ func (k *KVM) SwitchVM(p *sim.Proc, from, to *hyp.VCPU) {
 	}
 	from.CountExit("preempt")
 	from.Emit(obs.VMSwitch, "sched", int64(to.VM.VMID))
-	from.Span(p, "vm-switch")
-	defer from.EndSpan(p)
-	k.exitToHost(p, from)
-	from.Charge(p, "host scheduler: thread switch", k.c.HostSchedSwitch)
-	k.enterGuest(p, to)
+	from.InSpan(p, "vm-switch", func() {
+		k.exitToHost(p, from)
+		from.Charge(p, "host scheduler: thread switch", k.c.HostSchedSwitch)
+		k.enterGuest(p, to)
+	})
 }
 
 // NotifyGuest implements hyp.Hypervisor: the vhost backend signals the VM
@@ -376,12 +352,12 @@ func (k *KVM) SwitchVM(p *sim.Proc, from, to *hyp.VCPU) {
 // are host threads, not VCPUs.
 func (k *KVM) NotifyGuest(p *sim.Proc, _ *hyp.VCPU, v *hyp.VCPU, virq gic.IRQ) {
 	v.Emit(obs.IOKick, "irqfd", int64(virq))
-	v.Span(p, "notify-guest")
-	defer v.EndSpan(p)
-	v.Charge(p, "irqfd + vgic update", k.c.Irqfd)
-	v.Charge(p, "notify path (softirq/eventfd)", k.c.NotifyResidual)
-	v.PostSoft(virq)
-	k.m.SendIPI(p, v.CPU.P.ID(), hyp.SGIKick)
+	v.InSpan(p, "notify-guest", func() {
+		v.Charge(p, "irqfd + vgic update", k.c.Irqfd)
+		v.Charge(p, "notify path (softirq/eventfd)", k.c.NotifyResidual)
+		v.PostSoft(virq)
+		k.m.SendIPI(p, v.CPU.P.ID(), hyp.SGIKick)
+	})
 }
 
 // KickBackend implements hyp.Hypervisor: a virtio kick (I/O Latency Out).
@@ -390,22 +366,22 @@ func (k *KVM) NotifyGuest(p *sim.Proc, _ *hyp.VCPU, v *hyp.VCPU, virq gic.IRQ) {
 func (k *KVM) KickBackend(p *sim.Proc, v *hyp.VCPU, b *hyp.Backend) {
 	v.CountExit("mmio-kick")
 	v.Emit(obs.IOKick, "ioeventfd", int64(b.CPU.P.ID()))
-	v.Span(p, "kick-backend")
-	defer v.EndSpan(p)
-	k.exitToHost(p, v)
-	v.Charge(p, "ioeventfd signal", k.c.Ioeventfd)
-	if k.c.KickNeedsIPI {
-		// ARM: the vhost worker sleeps; waking it takes a resched IPI
-		// plus the host IRQ-entry/scheduler path on the backend CPU.
-		v.Charge(p, "resched IPI to backend CPU", k.m.Cost.IPISend)
-		b.Inbox.SendAfter(sim.Time(k.m.Cost.IPIWire+k.c.BackendWake), p.Now())
-	} else {
-		// x86 measurement: the eventfd wake hits a hot vhost worker;
-		// Table II's 560-cycle I/O Latency Out is essentially the VM
-		// exit plus the signal itself.
-		b.Inbox.SendAfter(0, p.Now())
-	}
-	k.enterGuest(p, v)
+	v.InSpan(p, "kick-backend", func() {
+		k.exitToHost(p, v)
+		v.Charge(p, "ioeventfd signal", k.c.Ioeventfd)
+		if k.c.KickNeedsIPI {
+			// ARM: the vhost worker sleeps; waking it takes a resched IPI
+			// plus the host IRQ-entry/scheduler path on the backend CPU.
+			v.Charge(p, "resched IPI to backend CPU", k.m.Cost.IPISend)
+			b.Inbox.SendAfter(sim.Time(k.m.Cost.IPIWire+k.c.BackendWake), p.Now())
+		} else {
+			// x86 measurement: the eventfd wake hits a hot vhost worker;
+			// Table II's 560-cycle I/O Latency Out is essentially the VM
+			// exit plus the signal itself.
+			b.Inbox.SendAfter(0, p.Now())
+		}
+		k.enterGuest(p, v)
+	})
 }
 
 // BackendDispatch implements hyp.Hypervisor. KVM's backend wake latency is
@@ -419,17 +395,17 @@ func (k *KVM) BackendDispatch(*sim.Proc, *hyp.Backend) {}
 func (k *KVM) Stage2Fault(p *sim.Proc, v *hyp.VCPU, ipa mem.IPA) {
 	v.CountExit("stage2-fault")
 	v.Emit(obs.Stage2Fault, "", int64(ipa))
-	v.Span(p, "stage2-fault")
-	defer v.EndSpan(p)
-	v.Charge(p, "stage-2 fault (hw)", k.m.Cost.Stage2FaultHW)
-	k.exitToHost(p, v)
-	v.Charge(p, "host: allocate + map page", k.c.FaultWork)
-	page := ipa &^ (mem.PageSize - 1)
-	k.nextPA += mem.PageSize
-	if err := v.VM.S2.Map(page, k.nextPA, mem.PermRWX); err != nil {
-		panic(fmt.Sprintf("kvm: stage-2 map: %v", err))
-	}
-	k.enterGuest(p, v)
+	v.InSpan(p, "stage2-fault", func() {
+		v.Charge(p, "stage-2 fault (hw)", k.m.Cost.Stage2FaultHW)
+		k.exitToHost(p, v)
+		v.Charge(p, "host: allocate + map page", k.c.FaultWork)
+		page := ipa &^ (mem.PageSize - 1)
+		k.nextPA += mem.PageSize
+		if err := v.VM.S2.Map(page, k.nextPA, mem.PermRWX); err != nil {
+			panic(fmt.Sprintf("kvm: stage-2 map: %v", err))
+		}
+		k.enterGuest(p, v)
+	})
 }
 
 var _ hyp.Hypervisor = (*KVM)(nil)

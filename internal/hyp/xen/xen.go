@@ -92,9 +92,6 @@ func (x *Xen) NewVM(name string, pin []int) *hyp.VM {
 	return vm
 }
 
-// Evtchn returns a domain's event channel table.
-func (x *Xen) Evtchn(vm *hyp.VM) *EvtchnTable { return x.evtchn[vm.VMID] }
-
 // ioChannel lazily establishes the interdomain channel pair between a DomU
 // and Dom0, as the PV frontend/backend handshake does at connect time.
 func (x *Xen) ioChannel(vm *hyp.VM) ioChannel {
@@ -140,76 +137,62 @@ func (x *Xen) lightTrap(p *sim.Proc, v *hyp.VCPU) {
 	if !v.InGuest {
 		panic(fmt.Sprintf("xen: trap from %v which is not in guest", v))
 	}
-	v.Span(p, "light-trap")
-	defer v.EndSpan(p)
-	if x.m.Arch == cpu.X86 {
-		v.Charge(p, "VM exit (VMCS hardware switch)", x.m.Cost.VMExitHW)
+	v.InSpan(p, "light-trap", func() {
+		if x.m.Arch == cpu.X86 {
+			v.Charge(p, "VM exit (VMCS hardware switch)", x.m.Cost.VMExitHW)
+			v.CPU.P.Trap()
+			v.InGuest = false
+			return
+		}
+		v.Charge(p, "trap to EL2", x.m.Cost.TrapToEL2)
 		v.CPU.P.Trap()
+		v.Charge(p, "GP Regs: partial save", x.c.GPSaveFast)
 		v.InGuest = false
-		return
-	}
-	v.Charge(p, "trap to EL2", x.m.Cost.TrapToEL2)
-	v.CPU.P.Trap()
-	v.Charge(p, "GP Regs: partial save", x.c.GPSaveFast)
-	v.InGuest = false
+	})
 }
 
 // lightReturn resumes the trapped guest.
 func (x *Xen) lightReturn(p *sim.Proc, v *hyp.VCPU) {
-	v.Span(p, "light-return")
-	defer v.EndSpan(p)
-	if x.m.Arch == cpu.X86 {
-		v.Charge(p, "VM entry (VMCS hardware switch)", x.m.Cost.VMEntryHW)
+	v.InSpan(p, "light-return", func() {
+		if x.m.Arch == cpu.X86 {
+			v.Charge(p, "VM entry (VMCS hardware switch)", x.m.Cost.VMEntryHW)
+			v.CPU.P.EnterGuestKernel()
+			v.InGuest = true
+			v.Emit(obs.GuestEnter, "", 0)
+			return
+		}
+		v.Charge(p, "GP Regs: partial restore", x.c.GPRestoreFast)
+		v.Charge(p, "eret to guest", x.m.Cost.ERET)
 		v.CPU.P.EnterGuestKernel()
 		v.InGuest = true
 		v.Emit(obs.GuestEnter, "", 0)
-		return
-	}
-	v.Charge(p, "GP Regs: partial restore", x.c.GPRestoreFast)
-	v.Charge(p, "eret to guest", x.m.Cost.ERET)
-	v.CPU.P.EnterGuestKernel()
-	v.InGuest = true
-	v.Emit(obs.GuestEnter, "", 0)
+	})
 }
 
 // saveVMState moves a VCPU's full state out of the hardware (the expensive
 // half of a VM switch). ARM only; x86 state lives in the VMCS.
 func (x *Xen) saveVMState(p *sim.Proc, v *hyp.VCPU) {
-	v.Span(p, "save-vm-state")
-	defer v.EndSpan(p)
-	cm := x.m.Cost
-	for _, cls := range armVMClasses {
-		if cls == cpu.VGIC {
-			v.ChargeSpanned(p, gic.SpanSave, cls.String()+": save", cm.Class[cls].Save)
-		} else {
-			v.Charge(p, cls.String()+": save", cm.Class[cls].Save)
-		}
-	}
-	v.VgicImage = v.CPU.VIface.SaveImage()
-	v.CPU.P.SaveState(v.Ctx, armVMClasses...)
-	x.resident[v.CPU.P.ID()] = nil
-	v.Resident = false
+	v.InSpan(p, "save-vm-state", func() {
+		v.ChargeState(p, armVMClasses, hyp.Save)
+		v.VgicImage = v.CPU.VIface.SaveImage()
+		v.CPU.P.SaveState(v.Ctx, armVMClasses...)
+		x.resident[v.CPU.P.ID()] = nil
+		v.Resident = false
+	})
 }
 
 // loadVMState loads a VCPU's full state into the hardware.
 func (x *Xen) loadVMState(p *sim.Proc, v *hyp.VCPU) {
-	cm := x.m.Cost
 	if cur := x.resident[v.CPU.P.ID()]; cur != nil {
 		panic(fmt.Sprintf("xen: loading %v while %v still resident", v, cur))
 	}
-	v.Span(p, "load-vm-state")
-	defer v.EndSpan(p)
-	for _, cls := range armVMClasses {
-		if cls == cpu.VGIC {
-			v.ChargeSpanned(p, gic.SpanRestore, cls.String()+": restore", cm.Class[cls].Restore)
-		} else {
-			v.Charge(p, cls.String()+": restore", cm.Class[cls].Restore)
-		}
-	}
-	v.CPU.VIface.LoadImage(v.VgicImage)
-	v.CPU.P.LoadState(v.Ctx, armVMClasses...)
-	x.resident[v.CPU.P.ID()] = v
-	v.Resident = true
+	v.InSpan(p, "load-vm-state", func() {
+		v.ChargeState(p, armVMClasses, hyp.Restore)
+		v.CPU.VIface.LoadImage(v.VgicImage)
+		v.CPU.P.LoadState(v.Ctx, armVMClasses...)
+		x.resident[v.CPU.P.ID()] = v
+		v.Resident = true
+	})
 }
 
 // EnterGuest implements hyp.Hypervisor: the initial VM entry.
@@ -263,11 +246,11 @@ func (x *Xen) ExitGuest(p *sim.Proc, v *hyp.VCPU) {
 // trip is a light trap, a handler, and a return.
 func (x *Xen) Hypercall(p *sim.Proc, v *hyp.VCPU) {
 	v.CountExit("hypercall")
-	v.Span(p, "hypercall")
-	defer v.EndSpan(p)
-	x.lightTrap(p, v)
-	v.Charge(p, "hypercall handler", x.c.Handler)
-	x.lightReturn(p, v)
+	v.InSpan(p, "hypercall", func() {
+		x.lightTrap(p, v)
+		v.Charge(p, "hypercall handler", x.c.Handler)
+		x.lightReturn(p, v)
+	})
 }
 
 // GICTrap implements hyp.Hypervisor: Table II row 2. Xen emulates the GIC
@@ -275,27 +258,27 @@ func (x *Xen) Hypercall(p *sim.Proc, v *hyp.VCPU) {
 // the emulation.
 func (x *Xen) GICTrap(p *sim.Proc, v *hyp.VCPU) {
 	v.CountExit("mmio")
-	v.Span(p, "gic-trap")
-	defer v.EndSpan(p)
-	x.lightTrap(p, v)
-	if x.m.Arch == cpu.X86 {
-		v.Charge(p, "APIC access emulation", x.c.APICAccess)
-	} else {
-		v.Charge(p, "GIC distributor emulation", x.c.GICDistEmulate)
-	}
-	x.lightReturn(p, v)
+	v.InSpan(p, "gic-trap", func() {
+		x.lightTrap(p, v)
+		if x.m.Arch == cpu.X86 {
+			v.Charge(p, "APIC access emulation", x.c.APICAccess)
+		} else {
+			v.Charge(p, "GIC distributor emulation", x.c.GICDistEmulate)
+		}
+		x.lightReturn(p, v)
+	})
 }
 
 // SendVirtIPI implements hyp.Hypervisor: Table II row 3, sender half.
 func (x *Xen) SendVirtIPI(p *sim.Proc, v *hyp.VCPU, target *hyp.VCPU) {
 	v.CountExit("sgi")
-	v.Span(p, "send-virt-ipi")
-	defer v.EndSpan(p)
-	x.lightTrap(p, v)
-	v.Charge(p, "SGI emulation (distributor)", x.c.SGIEmulate)
-	target.PostSoft(hyp.VirqGuestIPI)
-	x.m.SendIPI(p, target.CPU.P.ID(), hyp.SGIVirtIPI)
-	x.lightReturn(p, v)
+	v.InSpan(p, "send-virt-ipi", func() {
+		x.lightTrap(p, v)
+		v.Charge(p, "SGI emulation (distributor)", x.c.SGIEmulate)
+		target.PostSoft(hyp.VirqGuestIPI)
+		x.m.SendIPI(p, target.CPU.P.ID(), hyp.SGIVirtIPI)
+		x.lightReturn(p, v)
+	})
 }
 
 // HandlePhysIRQ implements hyp.Hypervisor: physical interrupts are always
@@ -303,16 +286,16 @@ func (x *Xen) SendVirtIPI(p *sim.Proc, v *hyp.VCPU, target *hyp.VCPU) {
 // and resumes the guest — no EL1 round trip needed.
 func (x *Xen) HandlePhysIRQ(p *sim.Proc, v *hyp.VCPU, d gic.Delivery) {
 	v.CountExit("irq")
-	v.Span(p, "phys-irq")
-	defer v.EndSpan(p)
-	x.lightTrap(p, v)
-	v.Charge(p, "Xen GIC ack/EOI", x.c.PhysIRQAck)
-	for _, virq := range hyp.TranslateDelivery(v, d) {
-		v.Charge(p, "virq inject", x.c.VirqInject)
-		v.InjectVirq(virq)
-	}
-	x.lightReturn(p, v)
-	v.Charge(p, "guest IRQ entry", x.c.GuestIRQEntry)
+	v.InSpan(p, "phys-irq", func() {
+		x.lightTrap(p, v)
+		v.Charge(p, "Xen GIC ack/EOI", x.c.PhysIRQAck)
+		for _, virq := range hyp.TranslateDelivery(v, d) {
+			v.Charge(p, "virq inject", x.c.VirqInject)
+			v.InjectVirq(virq)
+		}
+		x.lightReturn(p, v)
+		v.Charge(p, "guest IRQ entry", x.c.GuestIRQEntry)
+	})
 }
 
 // BlockInGuest implements hyp.Hypervisor: guest WFI. Xen deschedules the
@@ -321,57 +304,57 @@ func (x *Xen) HandlePhysIRQ(p *sim.Proc, v *hyp.VCPU, d gic.Delivery) {
 // problem (§IV).
 func (x *Xen) BlockInGuest(p *sim.Proc, v *hyp.VCPU) {
 	v.CountExit("wfi")
-	v.Span(p, "wfi-block")
-	defer v.EndSpan(p)
-	pc := v.CPU
-	cm := x.m.Cost
-	if x.m.Arch == cpu.X86 {
-		v.Charge(p, "VM exit (VMCS hardware switch)", cm.VMExitHW)
+	v.InSpan(p, "wfi-block", func() {
+		pc := v.CPU
+		cm := x.m.Cost
+		if x.m.Arch == cpu.X86 {
+			v.Charge(p, "VM exit (VMCS hardware switch)", cm.VMExitHW)
+			pc.P.Trap()
+			v.InGuest = false
+			v.Charge(p, "schedule idle domain", x.c.SchedToIdle)
+			v.Emit(obs.VMSwitch, "to-idle", 0)
+			d := pc.IRQ.Recv(p)
+			if d.At > 0 {
+				x.m.Tel.ObserveIRQLatency(pc.P.ID(), p.Now()-d.At)
+			}
+			v.Charge(p, "Xen IRQ ack", x.c.PhysIRQAck)
+			v.Emit(obs.VMSwitch, "idle-wake", int64(d.IRQ))
+			v.Charge(p, "idle domain -> VCPU switch", x.c.IdleWakeSched)
+			for _, virq := range hyp.TranslateDelivery(v, d) {
+				v.Charge(p, "virq inject", x.c.VirqInject)
+				v.InjectVirq(virq)
+			}
+			v.Charge(p, "VM entry (VMCS hardware switch)", cm.VMEntryHW)
+			pc.P.EnterGuestKernel()
+			v.InGuest = true
+			v.Emit(obs.GuestEnter, "", 0)
+			v.Charge(p, "guest IRQ entry", x.c.GuestIRQEntry)
+			return
+		}
+		v.Charge(p, "trap to EL2", cm.TrapToEL2)
 		pc.P.Trap()
 		v.InGuest = false
+		x.saveVMState(p, v)
 		v.Charge(p, "schedule idle domain", x.c.SchedToIdle)
 		v.Emit(obs.VMSwitch, "to-idle", 0)
 		d := pc.IRQ.Recv(p)
 		if d.At > 0 {
 			x.m.Tel.ObserveIRQLatency(pc.P.ID(), p.Now()-d.At)
 		}
-		v.Charge(p, "Xen IRQ ack", x.c.PhysIRQAck)
+		v.Charge(p, "Xen GIC ack/EOI", x.c.PhysIRQAck)
 		v.Emit(obs.VMSwitch, "idle-wake", int64(d.IRQ))
 		v.Charge(p, "idle domain -> VCPU switch", x.c.IdleWakeSched)
 		for _, virq := range hyp.TranslateDelivery(v, d) {
 			v.Charge(p, "virq inject", x.c.VirqInject)
 			v.InjectVirq(virq)
 		}
-		v.Charge(p, "VM entry (VMCS hardware switch)", cm.VMEntryHW)
+		x.loadVMState(p, v)
+		v.Charge(p, "eret to guest", cm.ERET)
 		pc.P.EnterGuestKernel()
 		v.InGuest = true
 		v.Emit(obs.GuestEnter, "", 0)
 		v.Charge(p, "guest IRQ entry", x.c.GuestIRQEntry)
-		return
-	}
-	v.Charge(p, "trap to EL2", cm.TrapToEL2)
-	pc.P.Trap()
-	v.InGuest = false
-	x.saveVMState(p, v)
-	v.Charge(p, "schedule idle domain", x.c.SchedToIdle)
-	v.Emit(obs.VMSwitch, "to-idle", 0)
-	d := pc.IRQ.Recv(p)
-	if d.At > 0 {
-		x.m.Tel.ObserveIRQLatency(pc.P.ID(), p.Now()-d.At)
-	}
-	v.Charge(p, "Xen GIC ack/EOI", x.c.PhysIRQAck)
-	v.Emit(obs.VMSwitch, "idle-wake", int64(d.IRQ))
-	v.Charge(p, "idle domain -> VCPU switch", x.c.IdleWakeSched)
-	for _, virq := range hyp.TranslateDelivery(v, d) {
-		v.Charge(p, "virq inject", x.c.VirqInject)
-		v.InjectVirq(virq)
-	}
-	x.loadVMState(p, v)
-	v.Charge(p, "eret to guest", cm.ERET)
-	pc.P.EnterGuestKernel()
-	v.InGuest = true
-	v.Emit(obs.GuestEnter, "", 0)
-	v.Charge(p, "guest IRQ entry", x.c.GuestIRQEntry)
+	})
 }
 
 // CompleteVirq implements hyp.Hypervisor: Table II row 4 — identical
@@ -379,24 +362,24 @@ func (x *Xen) BlockInGuest(p *sim.Proc, v *hyp.VCPU) {
 // x86 without vAPIC.
 func (x *Xen) CompleteVirq(p *sim.Proc, v *hyp.VCPU, virq gic.IRQ) {
 	cm := x.m.Cost
-	v.Span(p, "virq-complete")
-	defer v.EndSpan(p)
-	if x.m.Arch == cpu.ARM {
-		v.Charge(p, "virq ack+complete (no trap)", cm.VirqCompleteHW)
-		v.CPU.VIface.Complete(virq)
-		v.CPU.VIface.RefillFromOverflow()
-		return
-	}
-	if x.m.VAPIC {
-		v.Charge(p, "virq ack+complete (vAPIC)", cm.VirqCompleteHW)
+	v.InSpan(p, "virq-complete", func() {
+		if x.m.Arch == cpu.ARM {
+			v.Charge(p, "virq ack+complete (no trap)", cm.VirqCompleteHW)
+			v.CPU.VIface.Complete(virq)
+			v.CPU.VIface.RefillFromOverflow()
+			return
+		}
+		if x.m.VAPIC {
+			v.Charge(p, "virq ack+complete (vAPIC)", cm.VirqCompleteHW)
+			v.CPU.LAPIC.EOIVirtual(virq)
+			return
+		}
+		v.CountExit("eoi")
+		x.lightTrap(p, v)
+		v.Charge(p, "EOI emulation", x.c.EOIEmulate)
 		v.CPU.LAPIC.EOIVirtual(virq)
-		return
-	}
-	v.CountExit("eoi")
-	x.lightTrap(p, v)
-	v.Charge(p, "EOI emulation", x.c.EOIEmulate)
-	v.CPU.LAPIC.EOIVirtual(virq)
-	x.lightReturn(p, v)
+		x.lightReturn(p, v)
+	})
 }
 
 // SwitchVM implements hyp.Hypervisor: Table II row 5. Xen traps to EL2 and
@@ -407,21 +390,21 @@ func (x *Xen) SwitchVM(p *sim.Proc, from, to *hyp.VCPU) {
 	}
 	from.CountExit("preempt")
 	from.Emit(obs.VMSwitch, "sched", int64(to.VM.VMID))
-	from.Span(p, "vm-switch")
-	defer from.EndSpan(p)
-	cm := x.m.Cost
-	if x.m.Arch == cpu.X86 {
-		x.lightTrap(p, from)
+	from.InSpan(p, "vm-switch", func() {
+		cm := x.m.Cost
+		if x.m.Arch == cpu.X86 {
+			x.lightTrap(p, from)
+			from.Charge(p, "Xen scheduler", x.c.SchedSwitch)
+			x.EnterGuest(p, to)
+			return
+		}
+		from.Charge(p, "trap to EL2", cm.TrapToEL2)
+		from.CPU.P.Trap()
+		from.InGuest = false
+		x.saveVMState(p, from)
 		from.Charge(p, "Xen scheduler", x.c.SchedSwitch)
 		x.EnterGuest(p, to)
-		return
-	}
-	from.Charge(p, "trap to EL2", cm.TrapToEL2)
-	from.CPU.P.Trap()
-	from.InGuest = false
-	x.saveVMState(p, from)
-	from.Charge(p, "Xen scheduler", x.c.SchedSwitch)
-	x.EnterGuest(p, to)
+	})
 }
 
 // NotifyGuest implements hyp.Hypervisor: Dom0 signals a DomU through an
@@ -433,20 +416,20 @@ func (x *Xen) NotifyGuest(p *sim.Proc, from *hyp.VCPU, v *hyp.VCPU, virq gic.IRQ
 		panic("xen: NotifyGuest requires the Dom0 VCPU it runs on")
 	}
 	from.Emit(obs.IOKick, "evtchn-notify", int64(virq))
-	from.Span(p, "notify-guest")
-	defer from.EndSpan(p)
-	from.Charge(p, "netback ring + grant bookkeeping", x.c.NotifyRingWork)
-	x.lightTrap(p, from)
-	from.Charge(p, "evtchn_send handler", x.c.EvtchnSend)
-	if x.dom0 != nil && from.VM == x.dom0 && v.VM != x.dom0 {
-		ch := x.ioChannel(v.VM)
-		if _, err := x.evtchn[x.dom0.VMID].Send(x.evtchn[v.VM.VMID], ch.Dom0Port); err != nil {
-			panic(err)
+	from.InSpan(p, "notify-guest", func() {
+		from.Charge(p, "netback ring + grant bookkeeping", x.c.NotifyRingWork)
+		x.lightTrap(p, from)
+		from.Charge(p, "evtchn_send handler", x.c.EvtchnSend)
+		if x.dom0 != nil && from.VM == x.dom0 && v.VM != x.dom0 {
+			ch := x.ioChannel(v.VM)
+			if _, err := x.evtchn[x.dom0.VMID].Send(x.evtchn[v.VM.VMID], ch.Dom0Port); err != nil {
+				panic(err)
+			}
 		}
-	}
-	v.PostSoft(virq)
-	x.m.SendIPI(p, v.CPU.P.ID(), hyp.SGIKick)
-	x.lightReturn(p, from)
+		v.PostSoft(virq)
+		x.m.SendIPI(p, v.CPU.P.ID(), hyp.SGIKick)
+		x.lightReturn(p, from)
+	})
 }
 
 // KickBackend implements hyp.Hypervisor: a DomU kicks the Dom0 backend
@@ -459,18 +442,18 @@ func (x *Xen) KickBackend(p *sim.Proc, v *hyp.VCPU, b *hyp.Backend) {
 	}
 	v.CountExit("evtchn-kick")
 	v.Emit(obs.IOKick, "evtchn-kick", int64(b.Dom0VCPU.CPU.P.ID()))
-	v.Span(p, "kick-backend")
-	defer v.EndSpan(p)
-	x.lightTrap(p, v)
-	v.Charge(p, "evtchn_send handler", x.c.EvtchnSend)
-	ch := x.ioChannel(v.VM)
-	if _, err := x.evtchn[v.VM.VMID].Send(x.evtchn[x.dom0.VMID], ch.GuestPort); err != nil {
-		panic(err)
-	}
-	b.Dom0VCPU.PostSoft(hyp.VirqEvtchn)
-	b.Inbox.Send(p.Now())
-	x.m.SendIPI(p, b.Dom0VCPU.CPU.P.ID(), hyp.SGIKick)
-	x.lightReturn(p, v)
+	v.InSpan(p, "kick-backend", func() {
+		x.lightTrap(p, v)
+		v.Charge(p, "evtchn_send handler", x.c.EvtchnSend)
+		ch := x.ioChannel(v.VM)
+		if _, err := x.evtchn[v.VM.VMID].Send(x.evtchn[x.dom0.VMID], ch.GuestPort); err != nil {
+			panic(err)
+		}
+		b.Dom0VCPU.PostSoft(hyp.VirqEvtchn)
+		b.Inbox.Send(p.Now())
+		x.m.SendIPI(p, b.Dom0VCPU.CPU.P.ID(), hyp.SGIKick)
+		x.lightReturn(p, v)
+	})
 }
 
 // Stage2Fault implements hyp.Hypervisor: Xen's P2M fault handling runs
@@ -480,17 +463,17 @@ func (x *Xen) KickBackend(p *sim.Proc, v *hyp.VCPU, b *hyp.Backend) {
 func (x *Xen) Stage2Fault(p *sim.Proc, v *hyp.VCPU, ipa mem.IPA) {
 	v.CountExit("stage2-fault")
 	v.Emit(obs.Stage2Fault, "", int64(ipa))
-	v.Span(p, "stage2-fault")
-	defer v.EndSpan(p)
-	v.Charge(p, "stage-2 fault (hw)", x.m.Cost.Stage2FaultHW)
-	x.lightTrap(p, v)
-	v.Charge(p, "Xen: allocate + map page", x.c.FaultWork)
-	page := ipa &^ (mem.PageSize - 1)
-	x.nextPA += mem.PageSize
-	if err := v.VM.S2.Map(page, x.nextPA, mem.PermRWX); err != nil {
-		panic(fmt.Sprintf("xen: p2m map: %v", err))
-	}
-	x.lightReturn(p, v)
+	v.InSpan(p, "stage2-fault", func() {
+		v.Charge(p, "stage-2 fault (hw)", x.m.Cost.Stage2FaultHW)
+		x.lightTrap(p, v)
+		v.Charge(p, "Xen: allocate + map page", x.c.FaultWork)
+		page := ipa &^ (mem.PageSize - 1)
+		x.nextPA += mem.PageSize
+		if err := v.VM.S2.Map(page, x.nextPA, mem.PermRWX); err != nil {
+			panic(fmt.Sprintf("xen: p2m map: %v", err))
+		}
+		x.lightReturn(p, v)
+	})
 }
 
 // BackendDispatch implements hyp.Hypervisor: after Dom0's VCPU wakes, the
@@ -498,13 +481,13 @@ func (x *Xen) Stage2Fault(p *sim.Proc, v *hyp.VCPU, ipa mem.IPA) {
 // scanned, validating that an event was actually sent) and wakes the
 // netback worker.
 func (x *Xen) BackendDispatch(p *sim.Proc, b *hyp.Backend) {
-	b.Dom0VCPU.Span(p, "backend-dispatch")
-	defer b.Dom0VCPU.EndSpan(p)
-	b.Dom0VCPU.Charge(p, "evtchn upcall dispatch", x.c.UpcallDispatch)
-	if ports := x.evtchn[x.dom0.VMID].ScanPending(); len(ports) == 0 {
-		panic("xen: upcall with no pending event channel")
-	}
-	b.Dom0VCPU.Charge(p, "Dom0 worker wake", x.c.Dom0WorkerWake)
+	b.Dom0VCPU.InSpan(p, "backend-dispatch", func() {
+		b.Dom0VCPU.Charge(p, "evtchn upcall dispatch", x.c.UpcallDispatch)
+		if ports := x.evtchn[x.dom0.VMID].ScanPending(); len(ports) == 0 {
+			panic("xen: upcall with no pending event channel")
+		}
+		b.Dom0VCPU.Charge(p, "Dom0 worker wake", x.c.Dom0WorkerWake)
+	})
 }
 
 var _ hyp.Hypervisor = (*Xen)(nil)

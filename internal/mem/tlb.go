@@ -99,12 +99,6 @@ func (t *TLB) InvalidateVMID(vmid int) {
 	t.order = kept
 }
 
-// InvalidateAll empties the TLB.
-func (t *TLB) InvalidateAll() {
-	t.entries = make(map[tlbKey]TLBEntry)
-	t.order = t.order[:0]
-}
-
 // Len returns the number of cached translations.
 func (t *TLB) Len() int { return len(t.entries) }
 

@@ -85,15 +85,23 @@ func PathCostsHeader(h hyp.Hypervisor) PathCosts {
 // platform from newHyp, and assembles the PathCosts the workload models
 // consume.
 func MeasurePathCosts(newHyp func() hyp.Hypervisor) PathCosts {
+	return PathCostsFrom(newHyp, RunAll(newHyp))
+}
+
+// PathCostsFrom assembles the PathCosts of newHyp's platform from results,
+// the seven Table II rows as RunAll returns them, plus the header and the
+// busy-guest probe, measured on one fresh platform from newHyp. A caller
+// that already ran the suite reuses it instead of measuring it again.
+func PathCostsFrom(newHyp func() hyp.Hypervisor, results []Result) PathCosts {
 	h := newHyp()
 	pc := PathCostsHeader(h)
-	pc.Hypercall = Hypercall(h).Cycles
-	pc.GICTrap = InterruptControllerTrap(newHyp()).Cycles
-	pc.VirtIPI = VirtualIPI(newHyp()).Cycles
-	pc.VirqComplete = VirtualIRQCompletion(newHyp()).Cycles
-	pc.VMSwitch = VMSwitch(newHyp()).Cycles
-	pc.IOOut = IOLatencyOut(newHyp()).Cycles
-	pc.IOIn = IOLatencyIn(newHyp()).Cycles
-	pc.VirqDeliverBusy = VirqDeliveryBusy(newHyp()).Cycles
+	pc.Hypercall = results[0].Cycles
+	pc.GICTrap = results[1].Cycles
+	pc.VirtIPI = results[2].Cycles
+	pc.VirqComplete = results[3].Cycles
+	pc.VMSwitch = results[4].Cycles
+	pc.IOOut = results[5].Cycles
+	pc.IOIn = results[6].Cycles
+	pc.VirqDeliverBusy = VirqDeliveryBusy(h).Cycles
 	return pc
 }

@@ -138,3 +138,25 @@ func TestProfileOpDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// MeasurePathCosts (RunAll folded through PathCostsFrom) reads every field
+// the direct micro function measures on a fresh platform, on every
+// platform.
+func TestMeasurePathCostsMatchesDirectRuns(t *testing.T) {
+	for label, newHyp := range profilePlatforms {
+		got := MeasurePathCosts(newHyp)
+		h := newHyp()
+		want := PathCostsHeader(h)
+		want.Hypercall = Hypercall(h).Cycles
+		want.GICTrap = InterruptControllerTrap(newHyp()).Cycles
+		want.VirtIPI = VirtualIPI(newHyp()).Cycles
+		want.VirqComplete = VirtualIRQCompletion(newHyp()).Cycles
+		want.VMSwitch = VMSwitch(newHyp()).Cycles
+		want.IOOut = IOLatencyOut(newHyp()).Cycles
+		want.IOIn = IOLatencyIn(newHyp()).Cycles
+		want.VirqDeliverBusy = VirqDeliveryBusy(newHyp()).Cycles
+		if got != want {
+			t.Errorf("%s: MeasurePathCosts = %+v, want %+v", label, got, want)
+		}
+	}
+}

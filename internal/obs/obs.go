@@ -199,7 +199,7 @@ type Recorder struct {
 	seqs   []uint64
 	counts []kindCounts
 	// profiling holds the per-partition span-profiler state (profile.go),
-	// each created lazily on first Span/ChargeCycles use.
+	// each created lazily on first InSpan/ChargeCycles use.
 	profiling []*profState
 }
 

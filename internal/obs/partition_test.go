@@ -78,10 +78,10 @@ func TestPartitionedProfileMerge(t *testing.T) {
 		r.Partition(3, []int{1, 2})
 		spawn := func(part sim.PartID, name, phase string, c int64) {
 			e.GoOn(part, name, func(p *sim.Proc) {
-				r.Span(p, phase)
-				p.Sleep(sim.Time(c))
-				r.ChargeCycles(p, "work", c)
-				r.EndSpan(p)
+				InSpan(r, p, phase, func() {
+					p.Sleep(sim.Time(c))
+					r.ChargeCycles(p, "work", c)
+				})
 			})
 		}
 		spawn(p2, "b", "phase-b", 70)

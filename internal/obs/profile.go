@@ -5,11 +5,12 @@
 // 6,500-cycle KVM ARM hypercall into EL2 entry, register banking, GIC
 // save/restore and world-switch bookkeeping (Table III). The event bus
 // records transitions; the profiler records what the cycles inside a
-// transition paid for. Instrumented layers open named phases with
-// Recorder.Span / Recorder.EndSpan around their work, and every cycle
-// charged while a phase is open (hyp.VCPU.Charge, hw IPI dispatch, the
-// scheduler's exclusive execution) is attributed to a leaf under the
-// current phase stack, e.g. hypercall/exit-to-host/gic-save/vgic-regs-save.
+// transition paid for. Instrumented layers run their work inside named
+// phases with InSpan, which closes each phase when its closure returns,
+// and every cycle charged while a phase is open (hyp.VCPU.Charge, hw IPI
+// dispatch, the scheduler's exclusive execution) is attributed to a leaf
+// under the current phase stack, e.g.
+// hypercall/exit-to-host/gic-save/vgic-regs-save.
 //
 // Span stacks are kept per simulated process (fiber): cycles are spent by
 // whichever fiber calls Proc.Sleep, so the fiber — not the physical CPU —
@@ -282,11 +283,19 @@ func (ps *profState) cursor(p *sim.Proc) *pnode {
 	return ps.prof.root
 }
 
-// Span opens a named profiling phase for process p; cycles charged by p
-// until the matching EndSpan are attributed under it. Phases nest. The
-// name is slugged (Slug) to form the frame label. No-op on a nil recorder,
-// so instrumentation stays free when observability is off.
-func (r *Recorder) Span(p *sim.Proc, name string) {
+// InSpan runs fn inside a named profiling phase for process p: cycles p
+// charges while fn runs are attributed under it, and the phase closes when
+// fn returns or panics, so every span is balanced by construction. Phases
+// nest. The name is slugged (Slug) to form the frame label. On a nil
+// recorder fn just runs, so instrumentation stays free when observability
+// is off.
+func InSpan(r *Recorder, p *sim.Proc, name string, fn func()) {
+	r.span(p, name)
+	defer r.endSpan(p)
+	fn()
+}
+
+func (r *Recorder) span(p *sim.Proc, name string) {
 	if r == nil {
 		return
 	}
@@ -294,9 +303,9 @@ func (r *Recorder) Span(p *sim.Proc, name string) {
 	ps.spans[p] = append(ps.spans[p], ps.cursor(p).child(ps.prof.slug(name)))
 }
 
-// EndSpan closes process p's innermost open phase. Closing with no open
-// phase is a lenient no-op (teardown paths may outlive their opener).
-func (r *Recorder) EndSpan(p *sim.Proc) {
+// endSpan closes process p's innermost open phase. With none open (the
+// recorder was re-partitioned inside the span) it does nothing.
+func (r *Recorder) endSpan(p *sim.Proc) {
 	if r == nil {
 		return
 	}

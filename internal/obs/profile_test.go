@@ -29,9 +29,14 @@ func TestSlug(t *testing.T) {
 func TestNilRecorderProfileOps(t *testing.T) {
 	var r *Recorder
 	p := new(sim.Proc)
-	r.Span(p, "a")
-	r.ChargeCycles(p, "x", 10)
-	r.EndSpan(p)
+	ran := false
+	InSpan(r, p, "a", func() {
+		r.ChargeCycles(p, "x", 10)
+		ran = true
+	})
+	if !ran {
+		t.Fatal("InSpan on a nil recorder must still run its body")
+	}
 	r.ResetProfile()
 	if r.Profile() != nil {
 		t.Fatal("nil recorder should return nil profile")
@@ -47,15 +52,13 @@ func TestSpanNestingAndAttribution(t *testing.T) {
 	p := new(sim.Proc)
 	q := new(sim.Proc)
 
-	r.Span(p, "hypercall")
-	r.Span(p, "Exit to Host")
-	r.ChargeCycles(p, "Trap to EL2", 100)
-	r.Span(p, "gic-save")
-	r.ChargeCycles(p, "VGIC: save", 40)
-	r.EndSpan(p)
-	r.ChargeCycles(p, "GP Regs: save", 60)
-	r.EndSpan(p)
-	r.EndSpan(p)
+	InSpan(r, p, "hypercall", func() {
+		InSpan(r, p, "Exit to Host", func() {
+			r.ChargeCycles(p, "Trap to EL2", 100)
+			InSpan(r, p, "gic-save", func() { r.ChargeCycles(p, "VGIC: save", 40) })
+			r.ChargeCycles(p, "GP Regs: save", 60)
+		})
+	})
 
 	// A second fiber charges concurrently with its own (empty) stack.
 	r.ChargeCycles(q, "IPI send", 7)
@@ -92,14 +95,14 @@ func TestSpanNestingAndAttribution(t *testing.T) {
 func TestChargesFlatView(t *testing.T) {
 	r := NewRecorder(1, 0)
 	p := new(sim.Proc)
-	r.Span(p, "exit")
-	r.ChargeCycles(p, "Trap to EL2", 27)
-	r.ChargeCycles(p, "GP Regs: save", 152)
-	r.EndSpan(p)
-	r.Span(p, "enter")
-	r.ChargeCycles(p, "GP Regs: save", 8)
-	r.ChargeCycles(p, "eret", 27)
-	r.EndSpan(p)
+	InSpan(r, p, "exit", func() {
+		r.ChargeCycles(p, "Trap to EL2", 27)
+		r.ChargeCycles(p, "GP Regs: save", 152)
+	})
+	InSpan(r, p, "enter", func() {
+		r.ChargeCycles(p, "GP Regs: save", 8)
+		r.ChargeCycles(p, "eret", 27)
+	})
 	pf := r.Profile()
 	r.ChargeCycles(p, "eret", 1000)
 
@@ -115,32 +118,47 @@ func TestChargesFlatView(t *testing.T) {
 func TestEndSpanLenientAtEmptyStack(t *testing.T) {
 	r := NewRecorder(1, 0)
 	p := new(sim.Proc)
-	r.EndSpan(p) // nothing open: must not panic
-	r.Span(p, "a")
-	r.EndSpan(p)
-	r.EndSpan(p) // over-close: still fine
+	r.endSpan(p) // nothing open: must not panic
+	InSpan(r, p, "a", func() {})
+	r.endSpan(p) // over-close: still fine
 	r.ChargeCycles(p, "x", 1)
 	if got := r.Profile().Entries(); len(got) != 1 || got[0].Stack[0] != "x" {
 		t.Fatalf("charge after over-close landed at %+v", got)
 	}
 }
 
+// A panic inside the body still closes the span, so charges made after
+// the recovery land at the root rather than under the abandoned phase.
+func TestInSpanClosesOnPanic(t *testing.T) {
+	r := NewRecorder(1, 0)
+	p := new(sim.Proc)
+	func() {
+		defer func() { _ = recover() }()
+		InSpan(r, p, "doomed", func() { panic("boom") })
+	}()
+	r.ChargeCycles(p, "after", 3)
+	want := []ProfileEntry{{Stack: []string{"after"}, Cycles: 3}}
+	if got := r.Profile().Entries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Entries = %+v, want %+v", got, want)
+	}
+}
+
 func TestResetProfileKeepsOpenSpans(t *testing.T) {
 	r := NewRecorder(1, 0)
 	p := new(sim.Proc)
-	r.Span(p, "warmup-phase")
-	r.ChargeCycles(p, "work", 500)
-	// Reset mid-span: the open cursor must stay valid and warm-up cycles
-	// must vanish from exports.
-	r.ResetProfile()
-	if got := r.Profile().Total(); got != 0 {
-		t.Fatalf("Total after reset = %d, want 0", got)
-	}
-	if got := r.Profile().Entries(); got != nil {
-		t.Fatalf("Entries after reset = %+v, want none", got)
-	}
-	r.ChargeCycles(p, "work", 30)
-	r.EndSpan(p)
+	InSpan(r, p, "warmup-phase", func() {
+		r.ChargeCycles(p, "work", 500)
+		// Reset mid-span: the open cursor must stay valid and warm-up
+		// cycles must vanish from exports.
+		r.ResetProfile()
+		if got := r.Profile().Total(); got != 0 {
+			t.Fatalf("Total after reset = %d, want 0", got)
+		}
+		if got := r.Profile().Entries(); got != nil {
+			t.Fatalf("Entries after reset = %+v, want none", got)
+		}
+		r.ChargeCycles(p, "work", 30)
+	})
 	want := []ProfileEntry{{Stack: []string{"warmup-phase", "work"}, Cycles: 30}}
 	if got := r.Profile().Entries(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Entries = %+v, want %+v", got, want)
@@ -150,9 +168,7 @@ func TestResetProfileKeepsOpenSpans(t *testing.T) {
 func TestFoldedFormat(t *testing.T) {
 	r := NewRecorder(1, 0)
 	p := new(sim.Proc)
-	r.Span(p, "hypercall")
-	r.ChargeCycles(p, "eret", 65)
-	r.EndSpan(p)
+	InSpan(r, p, "hypercall", func() { r.ChargeCycles(p, "eret", 65) })
 	r.ChargeCycles(p, "guest compute", 1000)
 	want := "hypercall;eret 65\nguest-compute 1000\n"
 	if got := r.Profile().Folded(); got != want {

@@ -189,12 +189,19 @@ func TestDrainWaitsForInflightRuns(t *testing.T) {
 
 	drained := make(chan struct{})
 	go func() { s.Drain(); close(drained) }()
+	// Wait for Drain to close admission before asking for T2: a T2 that
+	// slipped in first would take the second worker and block on release.
 	for {
-		status, _, _ := get(t, ts, "/v1/experiments/T2")
-		if status == http.StatusServiceUnavailable {
+		s.adm.mu.Lock()
+		draining := s.adm.draining
+		s.adm.mu.Unlock()
+		if draining {
 			break
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if status, _, _ := get(t, ts, "/v1/experiments/T2"); status != http.StatusServiceUnavailable {
+		t.Fatalf("request during drain: status=%d, want 503", status)
 	}
 	select {
 	case <-drained:

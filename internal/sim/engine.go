@@ -462,16 +462,6 @@ func (s *shard) dispatch(limit Time, hasLim bool) {
 	s.hasLim = false
 }
 
-// Idle reports whether no events remain on any partition.
-func (e *Engine) Idle() bool {
-	for _, s := range e.parts {
-		if len(s.queue) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ParkedProcs returns the names of processes that are currently parked,
 // across all partitions, sorted; useful for diagnosing stalled simulations
 // in tests.
@@ -613,14 +603,6 @@ func (p *Proc) Sleep(d Time) {
 	}
 	p.sh.wakeAt(p.sh.now+d, &p.w)
 	p.park()
-}
-
-// SleepUntil parks until the absolute time t (no-op if t has passed).
-func (p *Proc) SleepUntil(t Time) {
-	if t <= p.sh.now {
-		return
-	}
-	p.Sleep(t - p.sh.now)
 }
 
 // Yield reschedules the process at the current time, letting any other

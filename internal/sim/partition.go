@@ -76,9 +76,6 @@ func (e *Engine) SetLookahead(d Time) {
 	e.lookahead = d
 }
 
-// Lookahead returns the configured lookahead (0 if unset).
-func (e *Engine) Lookahead() Time { return e.lookahead }
-
 // SetWorkers overrides the number of host goroutines that dispatch quantum
 // windows (runtime.GOMAXPROCS at NewEngine). Values < 1 mean 1. The
 // worker count never affects results, only wall-clock time.

@@ -114,9 +114,3 @@ func (r *Ring) Reclaim() *Packet {
 	r.outstanding--
 	return pk
 }
-
-// AvailLen and UsedLen report ring occupancy.
-func (r *Ring) AvailLen() int { return len(r.avail) }
-
-// UsedLen reports completed-but-unreclaimed descriptors.
-func (r *Ring) UsedLen() int { return len(r.used) }
