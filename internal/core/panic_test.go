@@ -46,7 +46,7 @@ func TestRunOneRecoversPanic(t *testing.T) {
 }
 
 // TestRunOneRecoversFiberPanic: a panic inside a simulated process body
-// runs on the process's own goroutine; the engine re-raises it on the
+// runs on the process's coroutine; iter.Pull re-raises it on the
 // goroutine that called Run, so RunOne reports it like any other panic.
 func TestRunOneRecoversFiberPanic(t *testing.T) {
 	bad := Experiment{

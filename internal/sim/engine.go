@@ -1,12 +1,19 @@
+//go:build go1.23
+
+// This file needs Go 1.23 for iter.Pull, but go.mod stays at 1.22: the
+// armbench module pins 1.22 and requires this one, so a higher go line
+// here would stop its build with "go: updates to go.mod needed". The
+// constraint raises this file's language version instead.
+
 // Package sim provides a deterministic, process-oriented discrete-event
 // simulation engine.
 //
 // The engine models virtual time in CPU cycles. Simulated activities run as
-// processes (fibers): ordinary Go functions executing on goroutines that are
-// scheduled cooperatively by the engine. Because processes within a
-// partition run one at a time and all ties in the event queue are broken by
-// a monotonic sequence number, a simulation produces identical results on
-// every run regardless of host scheduling.
+// processes (fibers): ordinary Go functions executing as coroutines
+// (iter.Pull) that only their partition's dispatcher resumes. Because
+// processes within a partition run one at a time and all ties in the event
+// queue are broken by a monotonic sequence number, a simulation produces
+// identical results on every run regardless of host scheduling.
 //
 // An engine is born with a single partition and behaves exactly like a
 // classic sequential event loop. AddPartition splits the simulation into
@@ -31,6 +38,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -112,7 +120,7 @@ func (h *eventHeap) pop() event {
 type PartID int
 
 // shard is the per-partition half of the engine: a private clock, event
-// heap, continuation-passing dispatch state, and work counters. A
+// heap, the process it last resumed, and work counters. A
 // single-partition engine is exactly one shard (Engine.root), and every
 // hot-path method operates on a shard, so splitting the engine added no
 // work to the sequential fast path.
@@ -123,12 +131,10 @@ type shard struct {
 	now     Time
 	seq     uint64
 	queue   eventHeap
-	running *Proc         // proc whose goroutine owns this shard's loop (nil = window owner)
-	done    chan struct{} // signals the window owner when the shard's loop goes idle
-	limit   Time          // inclusive dispatch bound for the current window / RunUntil
+	running *Proc // process last resumed in this dispatch (nil = none yet)
+	limit   Time  // inclusive dispatch bound for the current window / RunUntil
 	hasLim  bool
 	stopped bool
-	fault   any // panic that ended a fiber, re-raised by the loop's owner
 	procs   map[*Proc]struct{}
 
 	// Cross-partition outbox: messages produced by this shard during a
@@ -138,7 +144,7 @@ type shard struct {
 	sendSeq uint64
 
 	// Work counters behind Stats(). They are driven exclusively by the
-	// deterministic event sequence (pushes, pops, handoffs, spawns), so
+	// deterministic event sequence (pushes, pops, switches, spawns), so
 	// their values are part of a run's reproducible output.
 	statEvents   int64
 	statSwitches int64
@@ -169,13 +175,13 @@ type xmsg struct {
 // Engine owns the virtual clock(s) and event queue(s). The zero value is
 // not usable; construct with NewEngine.
 //
-// Within a partition the engine loop migrates between goroutines:
-// whichever goroutine parks last continues dispatching events inline
-// (continuation passing). A process that wakes itself therefore costs no
-// goroutine switch at all, and waking another process costs one handoff
-// instead of the two a dedicated engine goroutine would need. Logical
-// execution order is unaffected: exactly one goroutine runs a given
-// shard's loop at any instant.
+// Within a partition one dispatcher (the Run caller, or the pool worker
+// running the partition's window) resumes process coroutines one at a
+// time. A parking process runs the partition's loop itself, so a process
+// that wakes itself next costs no switch at all; waking another process
+// yields to the dispatcher, which resumes it. Logical execution order is
+// unaffected: exactly one goroutine runs a given shard's loop at any
+// instant.
 //
 // With more than one partition (AddPartition), Run executes the
 // conservative parallel algorithm in partition.go: lookahead-bounded
@@ -230,7 +236,6 @@ func NewEngine() *Engine {
 	e.root.eng = e
 	e.root.id = 0
 	e.root.name = "shared"
-	e.root.done = make(chan struct{}, 1)
 	e.root.procs = make(map[*Proc]struct{})
 	e.parts = []*shard{&e.root}
 	if s.stats != nil {
@@ -358,24 +363,17 @@ func (e *Engine) Stop() {
 	}
 }
 
-// loop outcomes.
-const (
-	loopIdle    = iota // queue empty, Stop called, or deadline reached
-	loopHandoff        // control transferred to another process goroutine
-	loopSelf           // the calling process was itself resumed
-)
-
-// loop dispatches pending events in the calling goroutine until the shard
-// goes idle or control is handed to a process goroutine. Resuming the
-// process whose goroutine is already running the loop returns loopSelf
-// without any channel traffic.
-func (s *shard) loop() int {
+// loop dispatches pending events until a process wakes, and returns it,
+// or until the shard goes idle (queue empty, Stop called, or limit
+// reached), and returns nil. Waking a process other than the one last
+// resumed counts as a switch.
+func (s *shard) loop() *Proc {
 	for {
 		if len(s.queue) == 0 || s.stopped {
-			return loopIdle
+			return nil
 		}
 		if s.hasLim && s.queue[0].at > s.limit {
-			return loopIdle
+			return nil
 		}
 		ev := s.queue.pop()
 		if ev.at < s.now {
@@ -394,19 +392,17 @@ func (s *shard) loop() int {
 		w.gen++
 		p := w.p
 		p.parked = false
-		if p == s.running {
-			return loopSelf
+		if p != s.running {
+			s.running = p
+			s.statSwitches++
 		}
-		s.running = p
-		s.statSwitches++
-		p.wake <- struct{}{}
-		return loopHandoff
+		return p
 	}
 }
 
 // Run processes events until the queue is empty or Stop is called. Parked
-// processes whose wakeups are never scheduled are simply abandoned (their
-// goroutines are unblocked and discarded at no cost to determinism). On a
+// processes whose wakeups are never scheduled are simply abandoned, their
+// coroutines left suspended at no cost to determinism. On a
 // multi-partition engine Run executes the quantum algorithm (see
 // partition.go) — same results, any worker count. A panic inside a
 // process body is re-raised on the goroutine that called Run.
@@ -446,18 +442,20 @@ func (e *Engine) runRoot(deadline Time, hasDeadline bool) {
 }
 
 // dispatch runs the shard's loop from the calling goroutine, bounded by
-// limit (inclusive) when hasLim, and returns once the loop goes idle —
-// wherever the loop migrated in between. A panic that ended one of the
-// shard's fibers is re-raised here, on the loop's owner.
+// limit (inclusive) when hasLim, resuming each woken process until the
+// shard goes idle. A process parks by yielding the next process to resume
+// (nil when idle); once its body returns, the loop continues here. A
+// panic in a body, or in an event its coroutine dispatched, is re-raised
+// here by iter.Pull.
 func (s *shard) dispatch(limit Time, hasLim bool) {
 	s.hasLim, s.limit = hasLim, limit
 	s.running = nil
-	if s.loop() == loopHandoff {
-		<-s.done
-		if r := s.fault; r != nil {
-			s.fault = nil
-			panic(r)
+	for p := s.loop(); p != nil; {
+		next, live := p.resume()
+		if !live {
+			next = s.loop()
 		}
+		p = next
 	}
 	s.hasLim = false
 }
@@ -478,54 +476,28 @@ func (e *Engine) ParkedProcs() []string {
 	return names
 }
 
-// spawnOn creates the process record and its goroutine on shard s,
-// initially parked waiting for the first dispatch at time t.
+// spawnOn creates the process and its coroutine on shard s, first resumed
+// by the dispatch of its wakeup at time t.
 func (e *Engine) spawnOn(s *shard, t Time, name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:  e,
-		sh:   s,
-		name: name,
-		wake: make(chan struct{}, 1),
-	}
+	p := &Proc{eng: e, sh: s, name: name}
 	p.w.p = p
 	s.procs[p] = struct{}{}
 	s.statSpawned++
-	go func() {
-		defer s.recoverFiber()
-		<-p.wake // wait for first dispatch
+	p.resume, _ = iter.Pull(func(yield func(*Proc) bool) {
+		p.yield = yield
 		s.noteProc("start", p)
 		body(p)
 		s.noteProc("exit", p)
-		p.dead = true
-		p.parked = true
 		delete(s.procs, p)
-		// The exiting goroutine owns the shard loop; keep dispatching
-		// here until idle or the loop migrates to another process.
-		if s.loop() == loopIdle {
-			s.done <- struct{}{}
-		}
-	}()
+	})
 	s.wakeAt(t, &p.w)
 	return p
 }
 
-// recoverFiber ends a fiber whose body, or an event its goroutine was
-// dispatching, panicked: the shard stops, the panic is kept on it, and
-// control returns to the loop's owner, which re-raises it (dispatch).
-func (s *shard) recoverFiber() {
-	r := recover()
-	if r == nil {
-		return
-	}
-	s.fault = r
-	s.stopped = true
-	s.done <- struct{}{}
-}
-
 // Go spawns a new process that begins executing body at the current time,
 // on the partition ambient calls act on (p.Go spawns on p's own). The body
-// runs on its own goroutine but is scheduled cooperatively: it only
-// executes while the engine has handed it control.
+// runs as a coroutine: it executes only while its partition's dispatcher
+// has resumed it, and gives control back whenever it parks.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	s := e.cur()
 	return e.spawnOn(s, s.now, name, body)
@@ -543,10 +515,14 @@ type Proc struct {
 	eng    *Engine
 	sh     *shard
 	name   string
-	wake   chan struct{}
 	w      waiter // reusable wakeup token; armed per park, never reallocated
 	parked bool
-	dead   bool
+
+	// resume runs the coroutine until it parks, returning the process it
+	// yields (nil when the shard went idle); live is false once the body
+	// has returned. yield is the body's side of the same handoff.
+	resume func() (next *Proc, live bool)
+	yield  func(*Proc) bool
 }
 
 // Name returns the name given at spawn time.
@@ -579,19 +555,14 @@ func (p *Proc) Go(name string, body func(p *Proc)) *Proc {
 }
 
 // park gives control back to the engine until some event unparks p. The
-// parking goroutine continues running the shard loop itself: if the next
-// wakeup is its own it simply returns, otherwise it hands the loop to the
-// woken process (or signals the window owner when the shard goes idle) and
-// blocks until resumed.
+// parking coroutine runs the shard loop itself: if the next wakeup is its
+// own it simply returns; otherwise it yields the woken process (nil when
+// the shard goes idle) to the dispatcher and is suspended until resumed.
 func (p *Proc) park() {
 	p.parked = true
-	switch p.sh.loop() {
-	case loopSelf:
-		return
-	case loopIdle:
-		p.sh.done <- struct{}{}
+	if next := p.sh.loop(); next != p {
+		p.yield(next)
 	}
-	<-p.wake
 }
 
 // Sleep advances the process's local view of time by d cycles. Other events

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -488,5 +489,30 @@ func TestYieldRunsQueuedEventsFirst(t *testing.T) {
 	e.Run()
 	if len(order) != 2 || order[0] != "event" || order[1] != "a-after-yield" {
 		t.Fatalf("order = %v", order)
+	}
+}
+
+// TestFinishedProcsLeaveNoGoroutines: a process that runs to completion
+// leaves no goroutine behind once Run returns, so a coroutine that is never
+// driven to its end shows up here as a leak.
+func TestFinishedProcsLeaveNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	const n = 50
+	finished := 0
+	for i := 0; i < n; i++ {
+		e.Go("worker", func(p *Proc) {
+			for k := 0; k < 3; k++ {
+				p.Sleep(Time(k + 1))
+			}
+			finished++
+		})
+	}
+	e.Run()
+	if finished != n {
+		t.Fatalf("%d of %d procs finished", finished, n)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("NumGoroutine = %d after Run, want at most the baseline %d", got, base)
 	}
 }

@@ -50,7 +50,6 @@ func (e *Engine) AddPartition(name string) PartID {
 		eng:   e,
 		id:    PartID(len(e.parts)),
 		name:  name,
-		done:  make(chan struct{}, 1),
 		procs: make(map[*Proc]struct{}),
 	}
 	e.parts = append(e.parts, s)
@@ -61,9 +60,6 @@ func (e *Engine) AddPartition(name string) PartID {
 // Partitions returns the number of partitions (1 for a classic sequential
 // engine).
 func (e *Engine) Partitions() int { return len(e.parts) }
-
-// PartName returns the diagnostic name of a partition.
-func (e *Engine) PartName(id PartID) string { return e.parts[id].name }
 
 // SetLookahead declares the minimum cross-partition latency: every SendTo
 // delay must be >= d. It bounds the quantum window width; larger lookahead
@@ -85,9 +81,6 @@ func (e *Engine) SetWorkers(n int) {
 	}
 	e.workers = n
 }
-
-// Workers returns the engine's window-dispatch worker bound.
-func (e *Engine) Workers() int { return e.workers }
 
 // GoOn spawns a process on a specific partition at that partition's
 // current time. During a run, processes may only spawn onto their own

@@ -12,8 +12,8 @@ package sim
 type Queue[T any] struct {
 	eng     *Engine
 	name    string
-	items   []T
-	waiters []waiterRef
+	items   fifo[T]
+	waiters fifo[waiterRef]
 }
 
 // NewQueue creates an empty queue attached to eng.
@@ -25,13 +25,13 @@ func NewQueue[T any](eng *Engine, name string) *Queue[T] {
 func (q *Queue[T]) Name() string { return q.name }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Send enqueues v and wakes the oldest parked receiver, if any. Send may be
 // called from a process or from a plain engine callback.
 func (q *Queue[T]) Send(v T) {
-	q.items = append(q.items, v)
-	q.wakeOne()
+	q.items.push(v)
+	wakeOldest(q.eng, &q.waiters)
 }
 
 // SendAfter enqueues v after a delay of d cycles, modelling propagation
@@ -40,40 +40,24 @@ func (q *Queue[T]) SendAfter(d Time, v T) {
 	q.eng.After(d, func() { q.Send(v) })
 }
 
-func (q *Queue[T]) wakeOne() {
-	for len(q.waiters) > 0 {
-		ref := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		if ref.stale() {
-			continue // stale registration (receiver already woken by timeout)
-		}
-		ref.consume(q.eng)
-		return
-	}
-}
-
 // Recv parks p until an item is available, then dequeues and returns it.
 func (q *Queue[T]) Recv(p *Proc) T {
 	for {
-		if len(q.items) > 0 {
-			v := q.items[0]
-			q.items = q.items[1:]
-			return v
+		if q.items.len() > 0 {
+			return q.items.pop()
 		}
-		q.waiters = append(q.waiters, p.ref())
+		q.waiters.push(p.ref())
 		p.park()
 	}
 }
 
 // TryRecv dequeues an item if one is available without parking.
 func (q *Queue[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // RecvTimeout is Recv with a deadline d cycles in the future. The second
@@ -82,10 +66,8 @@ func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (T, bool) {
 	var zero T
 	deadline := p.sh.now + d
 	for {
-		if len(q.items) > 0 {
-			v := q.items[0]
-			q.items = q.items[1:]
-			return v, true
+		if q.items.len() > 0 {
+			return q.items.pop(), true
 		}
 		if p.sh.now >= deadline {
 			return zero, false
@@ -93,7 +75,7 @@ func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (T, bool) {
 		// Two registrations race for one generation: the wait-list entry
 		// and the deadline wakeup. Whichever fires first consumes the
 		// generation; the other goes stale.
-		q.waiters = append(q.waiters, p.ref())
+		q.waiters.push(p.ref())
 		p.sh.wakeAt(deadline, &p.w)
 		p.park()
 	}
@@ -136,7 +118,7 @@ type Resource struct {
 	name    string
 	busy    bool
 	holder  *Proc
-	waiters []waiterRef
+	waiters fifo[waiterRef]
 }
 
 // NewResource creates a free resource attached to eng.
@@ -156,7 +138,7 @@ func (r *Resource) Holder() *Proc { return r.holder }
 // Acquire parks p until the resource is free, then claims it.
 func (r *Resource) Acquire(p *Proc) {
 	for r.busy {
-		r.waiters = append(r.waiters, p.ref())
+		r.waiters.push(p.ref())
 		p.park()
 	}
 	r.busy = true
@@ -171,15 +153,7 @@ func (r *Resource) Release(p *Proc) {
 	}
 	r.busy = false
 	r.holder = nil
-	for len(r.waiters) > 0 {
-		ref := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		if ref.stale() {
-			continue
-		}
-		ref.consume(r.eng)
-		return
-	}
+	wakeOldest(r.eng, &r.waiters)
 }
 
 // Exec acquires the resource, sleeps for d cycles of exclusive use, and
@@ -188,4 +162,48 @@ func (r *Resource) Exec(p *Proc, d Time) {
 	r.Acquire(p)
 	p.Sleep(d)
 	r.Release(p)
+}
+
+// fifo is the engine's FIFO for queued items and wait lists. Pops advance
+// head instead of reslicing, so the backing array keeps its capacity: a
+// list that drains rewinds to the start, and a full one at least half
+// popped compacts in place instead of growing. A steady producer/consumer
+// pair therefore allocates nothing. Popped slots are cleared so the
+// array retains no stale references.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 && 2*f.head >= len(f.buf) {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+// pop removes and returns the oldest element; the fifo must not be empty.
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	if f.head++; f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v
+}
+
+// wakeOldest consumes the oldest live registration, skipping stale ones
+// (a waiter already woken another way, such as a RecvTimeout deadline).
+func wakeOldest(e *Engine, ws *fifo[waiterRef]) {
+	for ws.len() > 0 {
+		if ref := ws.pop(); !ref.stale() {
+			ref.consume(e)
+			return
+		}
+	}
 }

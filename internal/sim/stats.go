@@ -1,5 +1,5 @@
 // Engine work accounting. Every engine counts the work it dispatches —
-// events popped from the heap, goroutine handoffs between processes,
+// events popped from the heap, switches between processes,
 // processes spawned, the event-heap high-water mark, and the final
 // virtual clock. All of it is driven by the deterministic event sequence,
 // so a run's EngineStats are as reproducible as its tables: identical on
@@ -33,8 +33,9 @@ type EngineStats struct {
 	// Events counts events dispatched by the engine loop (callbacks and
 	// process wakeups, including stale ones).
 	Events int64 `json:"events"`
-	// ProcSwitches counts control handoffs between process goroutines
-	// (self-wakeups cost no handoff and are not counted; see Engine).
+	// ProcSwitches counts resumptions of a process other than the one
+	// its partition's dispatcher last resumed (self-wakeups cost no
+	// switch and are not counted; see Engine).
 	ProcSwitches int64 `json:"proc_switches"`
 	// ProcsSpawned counts processes created with Go/GoAt.
 	ProcsSpawned int64 `json:"procs_spawned"`
