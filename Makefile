@@ -52,12 +52,12 @@ prof-determinism:
 	/tmp/armvirt-prof -j 4 -folded > /tmp/prof-parallel.folded
 	diff -u /tmp/prof-serial.folded /tmp/prof-parallel.folded
 
-# par-determinism checks the parallel engine's byte-identity contract end
-# to end: the full report JSON and the folded profiler stacks must not
-# change one byte between GOMAXPROCS=1 (sequential windows) and
-# GOMAXPROCS=4 (up to four window workers per partitioned engine). The
-# engine sizes its worker pool from GOMAXPROCS, so the two runs differ in
-# worker count on any host, a 1-CPU one included.
+# par-determinism checks the byte-identity contract end to end: the full
+# report JSON and the folded profiler stacks must not change one byte
+# between GOMAXPROCS=1 and GOMAXPROCS=4. The engine runs every window on
+# the Run caller, but armvirt-report and armvirt-prof run experiments on
+# a worker pool (-j, default NumCPU), and the host thread count changes
+# how those workers interleave.
 par-determinism:
 	$(GO) build -o /tmp/armvirt-report ./cmd/armvirt-report
 	$(GO) build -o /tmp/armvirt-prof ./cmd/armvirt-prof
@@ -71,8 +71,10 @@ par-determinism:
 # telemetry-determinism checks the in-sim sampler's byte-identity
 # contract: the full PD1 fleet time series (per-PCPU utilization, steal,
 # run-queue depth, exits, IRQ latency) rendered by armvirt-top must not
-# change one byte between GOMAXPROCS=1 and GOMAXPROCS=4 (one and four
-# window workers). CI archives the CSV.
+# change one byte between GOMAXPROCS=1 and GOMAXPROCS=4. The engine runs
+# PD1's windows on one goroutine, so the two runs differ only in host
+# thread count; the diff pins that the series read nothing from the host.
+# CI archives the CSV.
 telemetry-determinism:
 	$(GO) build -o /tmp/armvirt-top ./cmd/armvirt-top
 	GOMAXPROCS=1 /tmp/armvirt-top -exp PD1 -format csv > /tmp/telemetry-par1.csv
@@ -88,15 +90,14 @@ telemetry-determinism:
 #  - the engine hot-path microbenchmarks;
 #  - one iteration of the Hypercall and VM Switch microbenchmarks, whose
 #    allocs/op show what a world switch allocates;
-#  - one iteration of the fleet on the partitioned engine at one window
-#    worker and on the serial engine, so the partitioned path runs under a
-#    benchmark too;
+#  - one iteration of the fleet on the partitioned engine and on the
+#    serial engine, so the partitioned path runs under a benchmark too;
 #  - one iteration of each registry experiment (wall time and allocations
 #    per experiment).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventDispatch|BenchmarkProcSwitch|BenchmarkQueueSendRecv' -benchmem -benchtime 100ms ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2_Hypercall|BenchmarkTable2_VMSwitch' -benchmem -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetSpeedup/par=1$$|BenchmarkFleetSerialEngine' -benchmem -benchtime 1x ./internal/workload
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetPartitioned|BenchmarkFleetSerialEngine' -benchmem -benchtime 1x ./internal/workload
 	$(GO) test -run '^$$' -bench 'BenchmarkExperiment' -benchmem -benchtime 1x ./internal/core
 
 # armbench-smoke runs the end-to-end benchmark (armbench/) briefly: its own
@@ -123,13 +124,12 @@ armbench-smoke:
 
 # bench-json runs the perf-trajectory suite — the engine hot-path
 # microbenchmarks, the experiment-level worker pool (core.RunAll at j=1
-# vs j=NumCPU), the PDES speedup benchmark (the 8-PCPU fleet at
-# 1, 2 and 4 window workers with the engine's window/stall/outbox health
-# counters),
-# and a serving-tier point: one replica primed cold then driven by
+# vs j=NumCPU), the 8-PCPU fleet on the partitioned engine (with its
+# window/stall/outbox health counters) and on the serial engine, and a
+# serving-tier point: one replica primed cold then driven by
 # armvirt-loadgen, whose -json report benchjson folds in under
 # "loadgen" — and records it all via armvirt-benchjson (host metadata +
-# every result + derived par/j speedups) as the next unused BENCH_<n>.json,
+# every result + derived j speedups) as the next unused BENCH_<n>.json,
 # one past the highest n present, so a run never overwrites a checked-in
 # file. The last line names the file written; CI uploads it as an
 # artifact. Speedups only show on multi-core hosts.

@@ -8,12 +8,11 @@
 //
 // and emits a single JSON document: host metadata (goos/goarch/cpu model
 // from the bench headers, plus the host core count), every parsed
-// benchmark, and derived wall-clock speedups for the parallelism-knob
-// benchmark families — any pair "X/par=1" vs "X/par=N" (the engine-level
-// knob) or "X/j=1" vs "X/j=N" (the experiment-level knob) yields a
-// speedup entry ns_par1/ns_parN. Speedups are meaningful only when
-// host_cpus spans the worker counts: on a single-core host every level
-// collapses to roughly 1x by construction.
+// benchmark, and derived wall-clock speedups for the experiment-level
+// parallelism knob — any pair "X/j=1" vs "X/j=N" yields a speedup entry
+// ns_j1/ns_jN. Speedups are meaningful only when host_cpus spans the
+// worker counts: on a single-core host every level collapses to roughly
+// 1x by construction.
 //
 // Input files whose first non-space byte is '{' are instead parsed as
 // armvirt-loadgen -json reports (cluster.LoadReport) and collected
@@ -41,7 +40,7 @@ import (
 
 // Result is one parsed benchmark line. Extra carries any custom
 // b.ReportMetric units beyond the standard three — the PDES health
-// counters (windows, stall-cycles, outbox-msgs) BenchmarkFleetSpeedup
+// counters (windows, stall-cycles, outbox-msgs) BenchmarkFleetPartitioned
 // reports land here, keyed by their unit string.
 type Result struct {
 	Name        string             `json:"name"`
@@ -53,8 +52,8 @@ type Result struct {
 }
 
 // Speedup is a derived parallel-vs-serial ratio within one benchmark
-// family: base is the "/par=1" (or "/j=1") member, the ratio its ns/op
-// over the faster-knob member's.
+// family: base is the "/j=1" member, the ratio its ns/op over the
+// faster-knob member's.
 type Speedup struct {
 	Name    string  `json:"name"`
 	Base    string  `json:"base"`
@@ -224,23 +223,22 @@ func parseLine(line string) (Result, bool) {
 }
 
 // derive finds parallelism families: benchmarks whose names differ only in
-// a trailing "/par=N" or "/j=N" component. Each family member with N > 1
-// gets a speedup entry against the family's N == 1 base.
+// a trailing "/j=N" component. Each family member with N > 1 gets a
+// speedup entry against the family's N == 1 base.
 func derive(results []Result) []Speedup {
-	type family struct{ base, knob string }
-	bases := map[family]Result{}
+	bases := map[string]Result{}
 	for _, r := range results {
-		if stem, knob, n, ok := splitKnob(r.Name); ok && n == 1 {
-			bases[family{stem, knob}] = r
+		if stem, n, ok := splitKnob(r.Name); ok && n == 1 {
+			bases[stem] = r
 		}
 	}
 	var out []Speedup
 	for _, r := range results {
-		stem, knob, n, ok := splitKnob(r.Name)
+		stem, n, ok := splitKnob(r.Name)
 		if !ok || n == 1 {
 			continue
 		}
-		base, ok := bases[family{stem, knob}]
+		base, ok := bases[stem]
 		if !ok || r.NsPerOp <= 0 {
 			continue
 		}
@@ -256,21 +254,18 @@ func derive(results []Result) []Speedup {
 	return out
 }
 
-// splitKnob recognizes a trailing "/par=N" or "/j=N" sub-benchmark name.
-func splitKnob(name string) (stem, knob string, n int, ok bool) {
+// splitKnob recognizes a trailing "/j=N" sub-benchmark name.
+func splitKnob(name string) (stem string, n int, ok bool) {
 	i := strings.LastIndex(name, "/")
 	if i < 0 {
-		return "", "", 0, false
+		return "", 0, false
 	}
-	last := name[i+1:]
-	for _, k := range []string{"par", "j"} {
-		if v, found := strings.CutPrefix(last, k+"="); found {
-			if num, err := strconv.Atoi(v); err == nil && num > 0 {
-				return name[:i], k, num, true
-			}
+	if v, found := strings.CutPrefix(name[i+1:], "j="); found {
+		if num, err := strconv.Atoi(v); err == nil && num > 0 {
+			return name[:i], num, true
 		}
 	}
-	return "", "", 0, false
+	return "", 0, false
 }
 
 func round3(v float64) float64 {

@@ -9,9 +9,7 @@ const sample = `goos: linux
 goarch: amd64
 pkg: armvirt/internal/workload
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkFleetSpeedup/par=1-4         	       5	  30462421 ns/op	    4608 outbox-msgs	  519000 stall-cycles	    1152 windows
-BenchmarkFleetSpeedup/par=2-4         	       5	  16123456 ns/op	    4608 outbox-msgs	  519000 stall-cycles	    1152 windows
-BenchmarkFleetSpeedup/par=4-4         	       5	  10154140 ns/op	    4608 outbox-msgs	  519000 stall-cycles	    1152 windows
+BenchmarkFleetPartitioned-4           	       5	  30462421 ns/op	    4608 outbox-msgs	  519000 stall-cycles	    1152 windows
 BenchmarkProcSwitch-4                 	35090541	        33.40 ns/op	       0 B/op	       0 allocs/op
 BenchmarkRunAll/j=1-4                 	       1	 901234567 ns/op
 BenchmarkRunAll/j=4-4                 	       1	 300411522 ns/op
@@ -26,10 +24,10 @@ func TestParseAndDerive(t *testing.T) {
 	if doc.GOOS != "linux" || doc.GOARCH != "amd64" || !strings.Contains(doc.CPUModel, "Xeon") {
 		t.Fatalf("header metadata not parsed: %+v", doc)
 	}
-	if len(doc.Benchmarks) != 6 {
-		t.Fatalf("parsed %d benchmarks, want 6", len(doc.Benchmarks))
+	if len(doc.Benchmarks) != 4 {
+		t.Fatalf("parsed %d benchmarks, want 4", len(doc.Benchmarks))
 	}
-	ps := doc.Benchmarks[3]
+	ps := doc.Benchmarks[1]
 	if ps.Name != "BenchmarkProcSwitch" || ps.NsPerOp != 33.40 {
 		t.Fatalf("ProcSwitch parsed wrong: %+v", ps)
 	}
@@ -51,19 +49,10 @@ func TestParseAndDerive(t *testing.T) {
 	}
 
 	sp := derive(doc.Benchmarks)
-	if len(sp) != 3 {
-		t.Fatalf("derived %d speedups, want 3 (par=2, par=4, j=4): %+v", len(sp), sp)
+	if len(sp) != 1 {
+		t.Fatalf("derived %d speedups, want 1 (j=4): %+v", len(sp), sp)
 	}
-	byName := map[string]Speedup{}
-	for _, s := range sp {
-		byName[s.Name] = s
-	}
-	par4 := byName["BenchmarkFleetSpeedup/par=4"]
-	if par4.Base != "BenchmarkFleetSpeedup/par=1" || par4.Ratio != 3.0 {
-		t.Fatalf("par=4 speedup wrong: %+v", par4)
-	}
-	j4 := byName["BenchmarkRunAll/j=4"]
-	if j4.Base != "BenchmarkRunAll/j=1" || j4.Ratio != 3.0 {
+	if j4 := sp[0]; j4.Name != "BenchmarkRunAll/j=4" || j4.Base != "BenchmarkRunAll/j=1" || j4.Ratio != 3.0 {
 		t.Fatalf("j=4 speedup wrong: %+v", j4)
 	}
 }
@@ -96,8 +85,8 @@ func TestIngestSniffsLoadgenJSON(t *testing.T) {
 	if lg.OK != 198 || lg.Latency.P99 != 6000 || lg.Outcomes["hit"] != 190 || lg.Forwarded != 60 {
 		t.Fatalf("loadgen report fields wrong: %+v", lg)
 	}
-	if len(doc.Benchmarks) != 6 {
-		t.Fatalf("bench text still parses after a JSON input: %d benchmarks, want 6", len(doc.Benchmarks))
+	if len(doc.Benchmarks) != 4 {
+		t.Fatalf("bench text still parses after a JSON input: %d benchmarks, want 4", len(doc.Benchmarks))
 	}
 
 	// Non-loadgen JSON is an error, not a silent skip.
@@ -124,22 +113,23 @@ func TestParseLineRejectsNonResults(t *testing.T) {
 
 func TestSplitKnob(t *testing.T) {
 	cases := []struct {
-		name       string
-		stem, knob string
-		n          int
-		ok         bool
+		name string
+		stem string
+		n    int
+		ok   bool
 	}{
-		{"BenchmarkFleetSpeedup/par=4", "BenchmarkFleetSpeedup", "par", 4, true},
-		{"BenchmarkRunAll/j=1", "BenchmarkRunAll", "j", 1, true},
-		{"BenchmarkRunAll/j=1#01", "", "", 0, false},
-		{"BenchmarkPlain", "", "", 0, false},
-		{"BenchmarkX/size=4", "", "", 0, false},
+		{"BenchmarkRunAll/j=1", "BenchmarkRunAll", 1, true},
+		{"BenchmarkRunAll/j=4", "BenchmarkRunAll", 4, true},
+		{"BenchmarkRunAll/j=1#01", "", 0, false},
+		{"BenchmarkFleetSpeedup/par=4", "", 0, false},
+		{"BenchmarkPlain", "", 0, false},
+		{"BenchmarkX/size=4", "", 0, false},
 	}
 	for _, c := range cases {
-		stem, knob, n, ok := splitKnob(c.name)
-		if stem != c.stem || knob != c.knob || n != c.n || ok != c.ok {
-			t.Fatalf("splitKnob(%q) = %q, %q, %d, %v; want %q, %q, %d, %v",
-				c.name, stem, knob, n, ok, c.stem, c.knob, c.n, c.ok)
+		stem, n, ok := splitKnob(c.name)
+		if stem != c.stem || n != c.n || ok != c.ok {
+			t.Fatalf("splitKnob(%q) = %q, %d, %v; want %q, %d, %v",
+				c.name, stem, n, ok, c.stem, c.n, c.ok)
 		}
 	}
 }

@@ -10,7 +10,7 @@
 //
 // The sampler rides the simulation's event clock, so the output is a pure
 // function of the experiment: byte-identical across runs, -j levels, and
-// engine worker counts — the property `make telemetry-determinism` asserts.
+// host thread counts — the property `make telemetry-determinism` asserts.
 package main
 
 import (

@@ -1,14 +1,14 @@
 // partsafe: code reachable from partitioned dispatch must not write
 // shared package-level state.
 //
-// The conservative-parallel engine (DESIGN.md §11) is byte-identical to
-// the serial engine only because partitions cannot observe each other
-// mid-quantum: each shard owns its partition's processes and state, and
+// Engine dispatch code must own all the state it writes. core.RunAll -j
+// runs several experiments' engines on concurrent goroutines, so a
+// package-level variable written from inside dispatch is shared between
+// them: the engines race on it, and the run order — and therefore the
+// statistics — depend on host scheduling. Within one partitioned engine
+// (DESIGN.md §11) each shard owns its partition's processes and state, and
 // the only cross-partition channel is Engine.SendTo, whose messages are
-// drained at barriers in deterministic (time, sender, sequence) order. A
-// package-level variable written from inside dispatch breaks that proof:
-// two shards racing on it make the run order — and therefore the merged
-// statistics — depend on host scheduling.
+// drained at barriers in deterministic (time, sender, sequence) order.
 //
 // partsafe walks the module call graph from every function value handed
 // to the engine's dispatch surface (Go/GoAt/GoOn/At/After/SendTo and the

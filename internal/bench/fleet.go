@@ -13,19 +13,18 @@ import (
 // workload (every CPU running a hackbench-style token ring, synchronized
 // by IPI barriers) on the partitioned ARM machine. Its output is a pure
 // function of the simulation — no row or rendered byte depends on the
-// engine's host worker count, which is the parallel engine's determinism
-// contract made diffable.
+// host — which is the partitioned engine's determinism contract made
+// diffable.
 type FleetResult struct {
 	Fleet workload.FleetResult
 	// Events and ProfiledCycles summarize the run's observability
-	// output, proving the partitioned recorder merge is exercised.
+	// output, proving the recorder is exercised on a partitioned machine.
 	Events         int
 	ProfiledCycles int64
 }
 
 // RunFleet runs the fleet scenario on a partitioned ARM machine. The
-// engine dispatches its windows on up to GOMAXPROCS host goroutines;
-// results are byte-identical at every worker count.
+// engine dispatches its windows on the calling goroutine.
 func RunFleet() FleetResult {
 	m := platform.ARMMachinePartitioned()
 	rec := obs.NewRecorder(m.NCPU(), 1<<12)

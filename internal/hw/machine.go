@@ -48,10 +48,10 @@ type Config struct {
 	TLBCapacity int
 	// PartitionPerCPU places each physical CPU on its own engine
 	// partition (partition 0 keeps shared devices), turning the machine
-	// into a conservative parallel simulation. The engine's lookahead is
+	// into a conservative windowed simulation. The engine's lookahead is
 	// the cost model's IPI wire latency — the minimum delay of any
 	// cross-CPU interaction — so results are byte-identical to the
-	// single-partition machine at every worker count.
+	// single-partition machine.
 	PartitionPerCPU bool
 }
 
@@ -77,9 +77,8 @@ type Machine struct {
 	Tel *telemetry.Sampler
 	// cpuPart is the engine layout when New placed each CPU on its own
 	// partition (Config.PartitionPerCPU): pcpu i lives on partition
-	// cpuPart[i] = i+1, partition 0 keeps the shared devices. Recorders and
-	// samplers are split to the same layout. Nil on an unpartitioned
-	// machine.
+	// cpuPart[i] = i+1, partition 0 keeps the shared devices. Nil on an
+	// unpartitioned machine.
 	cpuPart []int
 }
 
@@ -179,29 +178,17 @@ func (m *Machine) SetRecorder(r *obs.Recorder) {
 		m.Eng.SetProcTap(nil)
 		return
 	}
-	if m.Partitioned() {
-		// Mirror the engine layout into the recorder so each partition
-		// owns an event cursor: pcpu i's events land on partition i+1,
-		// everything else on the shared partition 0.
-		r.Partition(len(m.CPUs)+1, m.cpuPart)
-	}
-	m.Eng.SetProcTap(func(t sim.Time, part sim.PartID, what, name string) {
-		r.EmitPart(t, int(part), obs.ProcEvent, -1, "", -1, what+" "+name, 0)
+	m.Eng.SetProcTap(func(t sim.Time, what, name string) {
+		r.Emit(t, obs.ProcEvent, -1, "", -1, what+" "+name, 0)
 	})
 }
 
 // SetSampler attaches (or, with nil, detaches) a telemetry sampler and
-// wires it into the GIC distributor. On a partitioned machine the sampler
-// is split to mirror the engine layout — pcpu i's samples land in
-// partition buffer i+1 — so hooks never contend across partitions and the
-// merged series is byte-identical at every worker count.
+// wires it into the GIC distributor.
 func (m *Machine) SetSampler(s *telemetry.Sampler) {
 	m.Tel = s
 	if m.Dist != nil {
 		m.Dist.Tel = s
-	}
-	if s != nil && m.Partitioned() {
-		s.Partition(len(m.CPUs)+1, m.cpuPart)
 	}
 }
 

@@ -168,39 +168,24 @@ func (r *ring) events() []Event {
 // given a non-positive capacity.
 const DefaultRingCap = 1 << 16
 
-// kindCounts is one partition's per-kind event tally.
-type kindCounts [numKinds]int64
-
 // Recorder is the per-machine event bus: one ring per physical CPU plus a
 // machine-level ring, a sequence counter, and per-kind counters. All
 // methods are safe on a nil receiver (no-ops / zero values), so hot paths
 // can emit unconditionally.
 //
-// By default the recorder is written exclusively from inside a
-// single-partition simulation engine's event loop (fibers run one at a
-// time), so it needs no locking and its contents are deterministic. For a
-// machine running on a partitioned engine (conservative parallel
-// simulation; see internal/sim), Partition splits the recorder's mutable
-// cursors — sequence counters, kind counters, machine-level rings, and the
-// span-profiler state — per partition, so concurrently executing
-// partitions never share a cursor. Aggregated views (Events, Count,
-// Profile) merge the per-partition state in a deterministic order that is
-// independent of the host worker count.
+// The recorder is written only from inside its machine's simulation
+// engine, which runs one process at a time on every partition layout, so
+// it needs no locking and its contents are deterministic.
 type Recorder struct {
 	ncpu int
-	// rings holds the ncpu per-CPU rings followed by one machine-level
-	// ring per partition: rings[ncpu+part].
-	rings []*ring
-	// nparts is the partition count (1 until Partition is called).
-	nparts int
-	// cpuPart maps a physical CPU to its owning partition (nil = all 0).
-	cpuPart []int
-	// seqs and counts are the per-partition emission cursors.
-	seqs   []uint64
-	counts []kindCounts
-	// profiling holds the per-partition span-profiler state (profile.go),
-	// each created lazily on first InSpan/ChargeCycles use.
-	profiling []*profState
+	// rings holds the ncpu per-CPU rings followed by the machine-level
+	// ring.
+	rings  []*ring
+	seq    uint64
+	counts [numKinds]int64
+	// profiling is the span-profiler state (profile.go), created lazily
+	// on first InSpan/ChargeCycles use.
+	profiling *profState
 }
 
 // NewRecorder creates a recorder for a machine with ncpu physical CPUs.
@@ -212,67 +197,11 @@ func NewRecorder(ncpu, ringCap int) *Recorder {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCap
 	}
-	r := &Recorder{
-		ncpu:      ncpu,
-		rings:     make([]*ring, ncpu+1),
-		nparts:    1,
-		seqs:      make([]uint64, 1),
-		counts:    make([]kindCounts, 1),
-		profiling: make([]*profState, 1),
-	}
+	r := &Recorder{ncpu: ncpu, rings: make([]*ring, ncpu+1)}
 	for i := range r.rings {
 		r.rings[i] = newRing(ringCap)
 	}
 	return r
-}
-
-// Partition reconfigures the recorder for a machine split across nparts
-// engine partitions. cpuPart maps each physical CPU to its partition; CPUs
-// beyond len(cpuPart) (and machine-level events emitted without EmitPart)
-// belong to partition 0. Partition must be called before any events are
-// emitted; it panics otherwise. No-op on a nil recorder.
-func (r *Recorder) Partition(nparts int, cpuPart []int) {
-	if r == nil {
-		return
-	}
-	if nparts < 1 {
-		nparts = 1
-	}
-	if r.Total() != 0 || r.Len() != 0 {
-		panic("obs: Partition after events were emitted")
-	}
-	for _, p := range cpuPart {
-		if p < 0 || p >= nparts {
-			panic(fmt.Sprintf("obs: cpuPart entry %d out of range [0,%d)", p, nparts))
-		}
-	}
-	ringCap := r.rings[0].capacity
-	r.nparts = nparts
-	r.cpuPart = append([]int(nil), cpuPart...)
-	r.seqs = make([]uint64, nparts)
-	r.counts = make([]kindCounts, nparts)
-	r.profiling = make([]*profState, nparts)
-	r.rings = make([]*ring, r.ncpu+nparts)
-	for i := range r.rings {
-		r.rings[i] = newRing(ringCap)
-	}
-}
-
-// Partitions returns the recorder's partition count (1 unless Partition
-// was called).
-func (r *Recorder) Partitions() int {
-	if r == nil {
-		return 0
-	}
-	return r.nparts
-}
-
-// partOfCPU returns the partition owning events stamped with pcpu.
-func (r *Recorder) partOfCPU(pcpu int) int {
-	if pcpu >= 0 && pcpu < len(r.cpuPart) {
-		return r.cpuPart[pcpu]
-	}
-	return 0
 }
 
 // NCPU returns the physical CPU count the recorder was built for.
@@ -284,56 +213,31 @@ func (r *Recorder) NCPU() int {
 }
 
 // Emit records one event. No-op on a nil recorder. Events with pcpu
-// outside [0, ncpu) land in a machine-level ring. On a partitioned
-// recorder the event is cursored under the partition that owns pcpu
-// (machine-level events under partition 0 — use EmitPart from partition
-// code that knows better).
+// outside [0, ncpu) land in the machine-level ring.
 func (r *Recorder) Emit(t sim.Time, k Kind, pcpu int, vm string, vcpu int, detail string, arg int64) {
 	if r == nil {
 		return
 	}
-	r.emit(r.partOfCPU(pcpu), t, k, pcpu, vm, vcpu, detail, arg)
-}
-
-// EmitPart is Emit for machine-level events produced by a known partition
-// (for example the engine's per-partition process-lifecycle tap): the
-// event is cursored under that partition so concurrent partitions never
-// share a sequence counter. No-op on a nil recorder.
-func (r *Recorder) EmitPart(t sim.Time, part int, k Kind, pcpu int, vm string, vcpu int, detail string, arg int64) {
-	if r == nil {
-		return
-	}
-	if part < 0 || part >= r.nparts {
-		part = 0
-	}
-	r.emit(part, t, k, pcpu, vm, vcpu, detail, arg)
-}
-
-func (r *Recorder) emit(part int, t sim.Time, k Kind, pcpu int, vm string, vcpu int, detail string, arg int64) {
-	r.seqs[part]++
-	r.counts[part][k]++
+	r.seq++
+	r.counts[k]++
 	idx := pcpu
 	if idx < 0 || idx >= r.ncpu {
-		idx = r.ncpu + part
+		idx = r.ncpu
 	}
 	r.rings[idx].push(Event{
-		Seq: r.seqs[part], T: t, Kind: k,
+		Seq: r.seq, T: t, Kind: k,
 		PCPU: pcpu, VM: vm, VCPU: vcpu,
 		Detail: detail, Arg: arg,
 	})
 }
 
 // Count returns how many events of kind k have been emitted (including any
-// that have since been dropped from their ring), summed across partitions.
+// that have since been dropped from their ring).
 func (r *Recorder) Count(k Kind) int64 {
 	if r == nil {
 		return 0
 	}
-	var t int64
-	for p := range r.counts {
-		t += r.counts[p][k]
-	}
-	return t
+	return r.counts[k]
 }
 
 // Total returns the total emitted event count.
@@ -341,13 +245,7 @@ func (r *Recorder) Total() int64 {
 	if r == nil {
 		return 0
 	}
-	var t int64
-	for p := range r.counts {
-		for _, c := range r.counts[p] {
-			t += c
-		}
-	}
-	return t
+	return int64(r.seq)
 }
 
 // Dropped returns how many events were overwritten ring-buffer style.
@@ -375,60 +273,20 @@ func (r *Recorder) Len() int {
 }
 
 // Events returns the retained events merged across all rings in emission
-// order. On a single-partition recorder that is exactly the global Seq
-// order. On a partitioned recorder the canonical order is (T, partition,
-// partition-local Seq) — a pure function of the recorded content, so it is
-// byte-identical at every engine worker count — and Seq is renumbered to
-// the merged position so consumers still see one total order. The result
-// is freshly allocated and deterministic.
+// (Seq) order. The result is freshly allocated and deterministic.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	if r.nparts == 1 {
-		out := make([]Event, 0, r.Len())
-		for _, rg := range r.rings {
-			out = append(out, rg.events()...)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-		return out
+	out := make([]Event, 0, r.Len())
+	for _, rg := range r.rings {
+		out = append(out, rg.events()...)
 	}
-	type pev struct {
-		part int
-		ev   Event
-	}
-	merged := make([]pev, 0, r.Len())
-	for i, rg := range r.rings {
-		part := 0
-		if i < r.ncpu {
-			part = r.partOfCPU(i)
-		} else {
-			part = i - r.ncpu
-		}
-		for _, ev := range rg.events() {
-			merged = append(merged, pev{part: part, ev: ev})
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		a, b := merged[i], merged[j]
-		if a.ev.T != b.ev.T {
-			return a.ev.T < b.ev.T
-		}
-		if a.part != b.part {
-			return a.part < b.part
-		}
-		return a.ev.Seq < b.ev.Seq
-	})
-	out := make([]Event, len(merged))
-	for i, m := range merged {
-		out[i] = m.ev
-		out[i].Seq = uint64(i + 1)
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
-// Reset clears all rings and counters while keeping capacities and the
-// partition layout.
+// Reset clears all rings and counters while keeping capacities.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
@@ -436,8 +294,6 @@ func (r *Recorder) Reset() {
 	for i, rg := range r.rings {
 		r.rings[i] = newRing(rg.capacity)
 	}
-	for p := range r.seqs {
-		r.seqs[p] = 0
-		r.counts[p] = kindCounts{}
-	}
+	r.seq = 0
+	r.counts = [numKinds]int64{}
 }

@@ -121,8 +121,8 @@ func (f *fixedRing) events() []Event {
 
 // TestRingGrowsLikeFixedRing: a ring that allocates on demand retains,
 // wraps and drops exactly as a preallocated ring of the same capacity,
-// after every push, and never grows past its capacity. Reset and
-// Partition keep the capacity.
+// after every push, and never grows past its capacity. Reset keeps the
+// capacity.
 func TestRingGrowsLikeFixedRing(t *testing.T) {
 	for _, capacity := range []int{1, 3, 8, 9, 100} {
 		r, ref := newRing(capacity), &fixedRing{buf: make([]Event, capacity)}
@@ -141,7 +141,6 @@ func TestRingGrowsLikeFixedRing(t *testing.T) {
 	}
 
 	rec := NewRecorder(2, 4)
-	rec.Partition(2, []int{0, 1})
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 10; i++ {
 			rec.Emit(sim.Time(i), VirqInject, 1, "vm", 0, "", int64(i))
@@ -153,21 +152,23 @@ func TestRingGrowsLikeFixedRing(t *testing.T) {
 	}
 }
 
-// TestRecorderAllocatesOnFirstUse: building PD1's recorder (9 rings of
-// 1<<12 events, then partitioned 8 ways) allocates no event storage until
-// events arrive; preallocated rings cost about 8 MB here.
+// recorderSink keeps the recorders TestRecorderAllocatesOnFirstUse builds
+// on the heap.
+var recorderSink *Recorder
+
+// TestRecorderAllocatesOnFirstUse: building a recorder of 10 rings of
+// 1<<12 events allocates no event storage until events arrive;
+// preallocated rings would cost about 3 MB here.
 func TestRecorderAllocatesOnFirstUse(t *testing.T) {
 	const runs = 10
-	cpuPart := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		r := NewRecorder(9, 1<<12)
-		r.Partition(8, cpuPart)
+		recorderSink = NewRecorder(9, 1<<12)
 	}
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
-		t.Fatalf("NewRecorder+Partition allocated %d bytes, want < 64 KB", per)
+		t.Fatalf("NewRecorder allocated %d bytes, want < 64 KB", per)
 	}
 }
 

@@ -7,75 +7,52 @@ import (
 	"armvirt/internal/sim"
 )
 
-// TestPartitionedRecorderMergeOrder: the merged event order of a
-// partitioned recorder is (T, partition, partition-local seq), with Seq
-// renumbered to the merged position — regardless of physical emission
-// interleaving.
+// TestPartitionedRecorderMergeOrder: on a partitioned engine the recorder
+// keeps one sequence counter, so Events merges the per-CPU and
+// machine-level rings in emission order — the order the Run caller
+// dispatched the windows in, partition by partition — not in time order.
 func TestPartitionedRecorderMergeOrder(t *testing.T) {
+	e := sim.NewEngine()
+	e.SetLookahead(100)
+	p1, p2 := e.AddPartition("p1"), e.AddPartition("p2")
 	r := NewRecorder(2, 64)
-	r.Partition(3, []int{1, 2}) // cpu0 -> part1, cpu1 -> part2
-
-	// Emit out of "merge" order to prove the sort is on content.
-	r.Emit(20, GuestExit, 1, "vm", 0, "late-cpu1", 0) // part2 @20
-	r.Emit(10, GuestEnter, 0, "vm", 0, "cpu0", 0)     // part1 @10
-	r.EmitPart(10, 0, ProcEvent, -1, "", -1, "shared", 0)
-	r.Emit(10, GuestExit, 1, "vm", 0, "cpu1", 0) // part2 @10
-	r.Emit(20, IOKick, 0, "vm", 0, "cpu0-late", 0)
-
-	evs := r.Events()
-	var got []string
-	for _, e := range evs {
-		got = append(got, e.Detail)
+	emit := func(part sim.PartID, name string, pcpu int, at sim.Time) {
+		e.GoOn(part, name, func(p *sim.Proc) {
+			p.Sleep(at)
+			r.Emit(p.Now(), IOKick, pcpu, "", -1, name, 0)
+		})
 	}
-	want := []string{"shared", "cpu0", "cpu1", "cpu0-late", "late-cpu1"}
-	if !reflect.DeepEqual(got, want) {
+	// One window covers all three: p1's events run before p2's, and the
+	// shared partition 0's before both.
+	emit(p2, "cpu1@5", 1, 5)
+	emit(p1, "cpu0@8", 0, 8)
+	emit(0, "machine@9", -1, 9)
+	e.Run()
+
+	var got []string
+	for i, ev := range r.Events() {
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d has Seq %d, want %d", i, ev.Seq, i+1)
+		}
+		got = append(got, ev.Detail)
+	}
+	if want := []string{"machine@9", "cpu0@8", "cpu1@5"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("merged order = %v, want %v", got, want)
 	}
-	for i, e := range evs {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("event %d has Seq %d, want %d", i, e.Seq, i+1)
-		}
-	}
-	if r.Total() != 5 || r.Count(GuestExit) != 2 {
-		t.Fatalf("counts wrong: total=%d guest-exit=%d", r.Total(), r.Count(GuestExit))
-	}
-}
-
-// TestPartitionAfterEmitPanics: the layout can only change on a fresh
-// recorder.
-func TestPartitionAfterEmitPanics(t *testing.T) {
-	r := NewRecorder(1, 16)
-	r.Emit(1, IOKick, 0, "", -1, "x", 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected Partition after Emit to panic")
-		}
-	}()
-	r.Partition(2, []int{1})
-}
-
-// TestPartitionNilSafe: all new surface stays nil-safe (the zero-cost
-// nil-recorder idiom).
-func TestPartitionNilSafe(t *testing.T) {
-	var r *Recorder
-	r.Partition(4, []int{1, 2, 3})
-	r.EmitPart(1, 2, IOKick, -1, "", -1, "x", 0)
-	if r.Partitions() != 0 {
-		t.Fatal("nil recorder should report 0 partitions")
+	if r.Total() != 3 || r.Count(IOKick) != 3 {
+		t.Fatalf("counts wrong: total=%d io-kick=%d", r.Total(), r.Count(IOKick))
 	}
 }
 
 // TestPartitionedProfileMerge: spans charged by fibers on different
-// partitions merge into one deterministic tree in partition order.
+// partitions build one span tree, identical across two runs.
 func TestPartitionedProfileMerge(t *testing.T) {
-	run := func(workers int) string {
+	run := func() string {
 		e := sim.NewEngine()
 		e.SetLookahead(10)
 		p1 := e.AddPartition("p1")
 		p2 := e.AddPartition("p2")
-		e.SetWorkers(workers)
 		r := NewRecorder(2, 64)
-		r.Partition(3, []int{1, 2})
 		spawn := func(part sim.PartID, name, phase string, c int64) {
 			e.GoOn(part, name, func(p *sim.Proc) {
 				InSpan(r, p, phase, func() {
@@ -89,30 +66,24 @@ func TestPartitionedProfileMerge(t *testing.T) {
 		e.Run()
 		return r.Profile().Folded()
 	}
-	serial := run(1)
-	if serial == "" {
-		t.Fatal("empty folded profile")
-	}
+	first := run()
 	want := "phase-a;work 40\nphase-b;work 70\n"
-	if serial != want {
-		t.Fatalf("merged folded = %q, want %q", serial, want)
+	if first != want {
+		t.Fatalf("folded = %q, want %q", first, want)
 	}
-	if par := run(4); par != serial {
-		t.Fatalf("folded profile differs across workers:\nserial: %q\nparallel: %q", par, serial)
+	if second := run(); second != first {
+		t.Fatalf("folded profile differs between two runs:\nfirst: %q\nsecond: %q", first, second)
 	}
-	// Merged totals survive ResetProfile + recharge.
 }
 
-// TestSinglePartitionRecorderUnchanged: the default layout keeps the
-// original global-Seq semantics byte for byte.
+// TestSinglePartitionRecorderUnchanged: on a single-partition engine the
+// merged events keep the global Seq order byte for byte.
 func TestSinglePartitionRecorderUnchanged(t *testing.T) {
 	r := NewRecorder(2, 16)
 	r.Emit(5, GuestEnter, 0, "vm", 0, "a", 0)
 	r.Emit(5, GuestEnter, 1, "vm", 1, "b", 0)
 	r.Emit(7, IOKick, -1, "", -1, "c", 0)
-	// The engine's process tap emits through EmitPart on every machine;
-	// partition 0 is the cursor Emit uses for machine-level events.
-	r.EmitPart(9, 0, ProcEvent, -1, "", -1, "d", 0)
+	r.Emit(9, ProcEvent, -1, "", -1, "d", 0)
 	evs := r.Events()
 	if len(evs) != 4 || evs[0].Seq != 1 || evs[1].Seq != 2 || evs[2].Seq != 3 || evs[3].Seq != 4 {
 		t.Fatalf("single-partition seq order broken: %+v", evs)

@@ -242,36 +242,19 @@ func (pf *Profile) Folded() string { return Folded(pf.Entries()) }
 
 // --- Recorder span API -------------------------------------------------------
 
-// profState is one partition's profiling half: a span tree plus one open
+// profState is the recorder's profiling half: a span tree plus one open
 // span stack per simulated process. It is created lazily on first use so
-// recorders used purely as event buses pay nothing. A single-partition
-// recorder has exactly one; a partitioned recorder keeps one per
-// partition, because fibers on concurrently executing partitions must
-// never mutate a shared tree.
+// recorders used purely as event buses pay nothing.
 type profState struct {
 	prof  *Profile
 	spans map[*sim.Proc][]*pnode
 }
 
-// partOfProc returns the profiling partition for process p: its engine
-// partition, clamped into the recorder's layout (a process of an
-// unpartitioned machine is partition 0 either way).
-func (r *Recorder) partOfProc(p *sim.Proc) int {
-	if r == nil || r.nparts == 1 || p == nil {
-		return 0
+func (r *Recorder) prof() *profState {
+	if r.profiling == nil {
+		r.profiling = &profState{prof: NewProfile(), spans: map[*sim.Proc][]*pnode{}}
 	}
-	part := int(p.Part())
-	if part < 0 || part >= r.nparts {
-		return 0
-	}
-	return part
-}
-
-func (r *Recorder) prof(part int) *profState {
-	if r.profiling[part] == nil {
-		r.profiling[part] = &profState{prof: NewProfile(), spans: map[*sim.Proc][]*pnode{}}
-	}
-	return r.profiling[part]
+	return r.profiling
 }
 
 // cursor returns the node new charges attach to for process p: the top of
@@ -299,20 +282,17 @@ func (r *Recorder) span(p *sim.Proc, name string) {
 	if r == nil {
 		return
 	}
-	ps := r.prof(r.partOfProc(p))
+	ps := r.prof()
 	ps.spans[p] = append(ps.spans[p], ps.cursor(p).child(ps.prof.slug(name)))
 }
 
-// endSpan closes process p's innermost open phase. With none open (the
-// recorder was re-partitioned inside the span) it does nothing.
+// endSpan closes process p's innermost open phase; with none open it
+// does nothing.
 func (r *Recorder) endSpan(p *sim.Proc) {
-	if r == nil {
+	if r == nil || r.profiling == nil {
 		return
 	}
-	ps := r.profiling[r.partOfProc(p)]
-	if ps == nil {
-		return
-	}
+	ps := r.profiling
 	if st := ps.spans[p]; len(st) > 0 {
 		ps.spans[p] = st[:len(st)-1]
 	}
@@ -326,37 +306,33 @@ func (r *Recorder) ChargeCycles(p *sim.Proc, name string, c int64) {
 	if r == nil || c <= 0 {
 		return
 	}
-	ps := r.prof(r.partOfProc(p))
+	ps := r.prof()
 	n := ps.cursor(p).child(ps.prof.slug(name))
 	n.label = name
 	n.self += c
 }
 
 // Profile returns a copy of the recorder's span tree (nil on a nil
-// recorder): the per-partition trees merged in partition order, a pure
-// function of the recorded content that is byte-identical at every engine
-// worker count. Later charges do not change a returned profile, so a
-// measurement harness can take its window's profile and leave the
-// recorder attached.
+// recorder) holding its charged nodes. Later charges do not change a
+// returned profile, so a measurement harness can take its window's
+// profile and leave the recorder attached.
 func (r *Recorder) Profile() *Profile {
 	if r == nil {
 		return nil
 	}
-	merged := NewProfile()
-	for _, ps := range r.profiling {
-		if ps == nil {
-			continue
-		}
-		ps.prof.walkCharged(func(stack []string, n *pnode) {
-			m := merged.root
-			for _, frame := range stack {
-				m = m.child(frame)
-			}
-			m.label = n.label
-			m.self += n.self
-		})
+	cp := NewProfile()
+	if r.profiling == nil {
+		return cp
 	}
-	return merged
+	r.profiling.prof.walkCharged(func(stack []string, n *pnode) {
+		m := cp.root
+		for _, frame := range stack {
+			m = m.child(frame)
+		}
+		m.label = n.label
+		m.self += n.self
+	})
+	return cp
 }
 
 // ResetProfile zeroes all attributed cycles while keeping tree structure
@@ -366,9 +342,7 @@ func (r *Recorder) ResetProfile() {
 	if r == nil {
 		return
 	}
-	for _, ps := range r.profiling {
-		if ps != nil {
-			ps.prof.reset()
-		}
+	if r.profiling != nil {
+		r.profiling.prof.reset()
 	}
 }

@@ -110,9 +110,9 @@ func ARMMachine() *hw.Machine {
 }
 
 // ARMMachinePartitioned builds the simulated HP m400 with each physical
-// CPU on its own engine partition — a conservative parallel simulation
+// CPU on its own engine partition — a conservative windowed simulation
 // whose lookahead is the GIC wire latency. Results are byte-identical to
-// ARMMachine()'s at every worker count; only host wall time changes.
+// ARMMachine()'s; only host wall time changes.
 func ARMMachinePartitioned() *hw.Machine {
 	return hw.New(hw.Config{Arch: cpu.ARM, NCPU: NCPU, Cost: ARMCostModel(), PartitionPerCPU: true})
 }

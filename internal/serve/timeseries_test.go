@@ -34,10 +34,9 @@ func TestTimeseriesColdWarmEquivalence(t *testing.T) {
 	}
 }
 
-// TestTimeseriesParIndependence: the engine's host worker count follows
-// GOMAXPROCS and is not a cache key — the series are byte-identical at
-// every worker count, so computes on fresh servers under different
-// GOMAXPROCS must agree.
+// TestTimeseriesParIndependence: the host thread count is not a cache
+// key — the series are byte-identical at every GOMAXPROCS, so computes on
+// fresh servers under different GOMAXPROCS must agree.
 func TestTimeseriesParIndependence(t *testing.T) {
 	render := func(procs int) []byte {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

@@ -13,11 +13,11 @@ import (
 	"armvirt/internal/runlog"
 )
 
-// TestExperimentWorkerCountInvisible: the partitioned engine takes its
-// window-worker count from GOMAXPROCS, and the response bytes never show
-// it. PD1 is the experiment that builds a partitioned engine. A ?par= from
-// an older client is not read: the request is served exactly like one
-// without it, from the same cache entry.
+// TestExperimentWorkerCountInvisible: the host thread count (GOMAXPROCS)
+// never shows in the response bytes of PD1, the experiment that builds a
+// partitioned engine. A ?par= from an older client is not read: the
+// request is served exactly like one without it, from the same cache
+// entry.
 func TestExperimentWorkerCountInvisible(t *testing.T) {
 	const path = "/v1/experiments/PD1?format=rows"
 	// Independent servers, so each GOMAXPROCS level really runs the

@@ -17,7 +17,7 @@
 //
 // An engine is born with a single partition and behaves exactly like a
 // classic sequential event loop. AddPartition splits the simulation into
-// additional logical processes for conservative parallel execution
+// additional logical processes run in conservative lookahead windows
 // (partition.go); single-partition engines never touch that machinery.
 //
 // Processes advance time with Proc.Sleep, exchange data through Queue, and
@@ -30,18 +30,13 @@
 // PartNow. The ambient forms (Engine.At, After, SendTo, Go, GoAt, Now,
 // Stop) resolve the partition without any lookup: on a single-partition
 // engine, or outside a run, they act on partition 0; during a run they
-// act on the partition whose window the Run caller is dispatching inline
-// (one window worker, or a window with one active partition). Inside a
-// window dispatched across several workers no single partition is
-// current, so an ambient call panics and names the context form to use.
+// act on the partition whose window the Run caller is dispatching.
 package sim
 
 import (
 	"fmt"
 	"iter"
-	"runtime"
 	"sort"
-	"sync/atomic"
 )
 
 // Time is a point in virtual time, measured in CPU cycles. All PCPUs in a
@@ -162,8 +157,7 @@ type shard struct {
 
 // xmsg is a timestamped inter-partition message. Messages are buffered in
 // the sender's outbox and applied at the next quantum barrier in the total
-// order (at, from, seq) — deterministic regardless of how many host
-// threads executed the window.
+// order (at, from, seq).
 type xmsg struct {
 	at   Time
 	from PartID
@@ -175,26 +169,20 @@ type xmsg struct {
 // Engine owns the virtual clock(s) and event queue(s). The zero value is
 // not usable; construct with NewEngine.
 //
-// Within a partition one dispatcher (the Run caller, or the pool worker
-// running the partition's window) resumes process coroutines one at a
-// time. A parking process runs the partition's loop itself, so a process
-// that wakes itself next costs no switch at all; waking another process
-// yields to the dispatcher, which resumes it. Logical execution order is
-// unaffected: exactly one goroutine runs a given shard's loop at any
-// instant.
+// The Run caller is the one dispatcher: it resumes process coroutines one
+// at a time. A parking process runs the partition's loop itself, so a
+// process that wakes itself next costs no switch at all; waking another
+// process yields to the dispatcher, which resumes it.
 //
 // With more than one partition (AddPartition), Run executes the
-// conservative parallel algorithm in partition.go: lookahead-bounded
-// quantum windows in which partitions dispatch concurrently, separated by
-// barriers that exchange cross-partition messages in a deterministic
-// order. The algorithm is identical at every worker count, so output is
-// byte-identical however many host threads dispatch the windows.
+// conservative algorithm in partition.go: lookahead-bounded quantum
+// windows, each partition's dispatched in turn, separated by barriers
+// that exchange cross-partition messages in a deterministic order.
 //
 // The ambient methods (At, After, SendTo, Go, GoAt, Now, Stop) act on
 // partition 0 of a single-partition engine or outside a run, and on the
-// partition whose window the Run caller dispatches inline during one;
-// inside a window dispatched in parallel they panic, and code there uses
-// the Proc forms instead (see the package comment).
+// partition whose window is being dispatched during one (see the package
+// comment).
 type Engine struct {
 	root  shard
 	parts []*shard // parts[0] == &root; more after AddPartition
@@ -204,21 +192,16 @@ type Engine struct {
 	// delay must be >= lookahead, which is what makes a window of that
 	// width safe to dispatch without hearing from other partitions.
 	lookahead Time
-	// workers bounds the host goroutines dispatching windows (default:
-	// runtime.GOMAXPROCS at NewEngine). Only meaningful on
-	// multi-partition engines.
-	workers int
-	// inline is the shard whose window the Run caller is dispatching on
-	// its own goroutine (multi mode only); nil while a window runs on
-	// the worker pool. Ambient calls during a run resolve to it.
+	// inline is the shard whose window Run is dispatching (multi mode
+	// only). Ambient calls during a run resolve to it.
 	inline *shard
 	// stopAll requests a full stop at the next quantum barrier.
-	stopAll atomic.Bool
+	stopAll bool
 	// inRun is true while Run/RunUntil is executing (multi mode uses it
 	// to distinguish setup-time SendTo/GoOn from run-time calls).
 	inRun bool
 
-	procTap func(t Time, part PartID, what, name string)
+	procTap func(t Time, what, name string)
 
 	// tele is the telemetry half of the run scope NewEngine captured.
 	tele any
@@ -227,12 +210,10 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero, an empty queue, and
 // a single partition. It captures the calling goroutine's run scope (see
 // CollectStats): the engine registers with the scope's stats collector,
-// if any, and keeps its telemetry half for Telemetry. A multi-partition
-// run dispatches its windows on up to GOMAXPROCS host goroutines
-// (SetWorkers overrides); the count never affects results.
+// if any, and keeps its telemetry half for Telemetry.
 func NewEngine() *Engine {
 	s := scopeOf(goid())
-	e := &Engine{workers: runtime.GOMAXPROCS(0), tele: s.tele}
+	e := &Engine{tele: s.tele}
 	e.root.eng = e
 	e.root.id = 0
 	e.root.name = "shared"
@@ -249,23 +230,14 @@ func NewEngine() *Engine {
 // asserts it to the telemetry collector that samples the machine.
 func (e *Engine) Telemetry() any { return e.tele }
 
-// errAmbient is the panic an ambient call raises inside a window
-// dispatched in parallel, where no single partition is current.
-const errAmbient = "sim: ambient Engine call inside a window dispatched in parallel; " +
-	"use the Proc form (p.At, p.After, p.SendTo, p.Go) or PartNow for the partition's clock"
-
 // cur returns the shard ambient calls act on: the root shard on a
 // single-partition engine or outside a run, and during a run the shard
-// whose window the Run caller is dispatching inline. It panics inside a
-// window dispatched in parallel.
+// whose window is being dispatched.
 func (e *Engine) cur() *shard {
 	if !e.multi || !e.inRun {
 		return &e.root
 	}
-	if s := e.inline; s != nil {
-		return s
-	}
-	panic(errAmbient)
+	return e.inline
 }
 
 // Now returns the current virtual time: during a run, the clock of the
@@ -289,22 +261,18 @@ func (e *Engine) Now() Time {
 
 // PartNow returns partition part's clock. Code running on that partition
 // (one of its processes, or a callback SendTo routed there) reads its own
-// clock this way without resolving the calling context, so it is exact
-// inside a window dispatched in parallel.
+// clock this way without resolving the calling context.
 func (e *Engine) PartNow(part PartID) Time { return e.parts[part].now }
 
 // SetProcTap installs the process-lifecycle tap: fn receives the
-// partition the process lives on (0 on a single-partition engine), the
-// event verb ("start", "exit") and the process name. On a multi-partition
-// engine fn runs concurrently from window workers, so consumers keep
-// per-partition state to stay race-free and deterministic. Pass nil to
-// disable.
-func (e *Engine) SetProcTap(fn func(t Time, part PartID, what, name string)) { e.procTap = fn }
+// process's partition clock, the event verb ("start", "exit") and the
+// process name. Pass nil to disable.
+func (e *Engine) SetProcTap(fn func(t Time, what, name string)) { e.procTap = fn }
 
 // noteProc reports a process-lifecycle event to the tap.
 func (s *shard) noteProc(what string, p *Proc) {
 	if tap := s.eng.procTap; tap != nil {
-		tap(s.now, s.id, what, p.name)
+		tap(s.now, what, p.name)
 	}
 }
 
@@ -358,9 +326,7 @@ func (s *shard) noteHeapDepth() {
 func (e *Engine) Stop() {
 	s := e.cur()
 	s.stopped = true
-	if e.multi {
-		e.stopAll.Store(true)
-	}
+	e.stopAll = true
 }
 
 // loop dispatches pending events until a process wakes, and returns it,
@@ -404,8 +370,8 @@ func (s *shard) loop() *Proc {
 // processes whose wakeups are never scheduled are simply abandoned, their
 // coroutines left suspended at no cost to determinism. On a
 // multi-partition engine Run executes the quantum algorithm (see
-// partition.go) — same results, any worker count. A panic inside a
-// process body is re-raised on the goroutine that called Run.
+// partition.go). A panic inside a process body is re-raised on the
+// goroutine that called Run.
 func (e *Engine) Run() {
 	if e.multi {
 		e.runQuanta(0, false)
@@ -588,8 +554,8 @@ func (p *Proc) Yield() {
 // queue/cond/resource wait list entry) captures the generation it was
 // armed for, and consuming a wakeup bumps the generation. Exactly one of
 // the paths racing to wake a parked process finds a current generation;
-// the rest become stale no-ops. Because all paths run inside the waiter's
-// own partition loop there is no data race.
+// the rest become stale no-ops. All paths run inside the waiter's own
+// partition loop.
 type waiter struct {
 	p   *Proc
 	gen uint64
@@ -611,11 +577,15 @@ func (r waiterRef) stale() bool { return r.w.gen != r.gen }
 // consume claims the registration (making every sibling registration
 // stale) and schedules the resumption of the waiting process at the
 // current time, on the process's own partition. Callers must check
-// stale() first. Queues, conds, and resources are partition-local by
-// construction (see partition.go), so the waiter's shard is the shard
-// executing the wake.
+// stale() first. Queues, conds, and resources are partition-local (see
+// partition.go): during a run the waiter's shard must be the one whose
+// window is executing the wake, and a wake from another partition panics.
 func (r waiterRef) consume(e *Engine) {
-	r.w.gen++
 	s := r.w.p.sh
+	if e.multi && e.inRun && s != e.inline {
+		panic(fmt.Sprintf("sim: partition %d wakes %s parked on partition %d; cross-partition wakes must go through SendTo",
+			e.inline.id, r.w.p.name, s.id))
+	}
+	r.w.gen++
 	s.wakeAt(s.now, r.w)
 }

@@ -465,10 +465,7 @@ func TestWaiterReuseAcrossRepeatedTimeouts(t *testing.T) {
 func TestTracerSeesStartAndExit(t *testing.T) {
 	e := NewEngine()
 	var events []string
-	e.SetProcTap(func(_ Time, part PartID, what, name string) {
-		if part != 0 {
-			t.Errorf("%s %s on partition %d, want 0", what, name, part)
-		}
+	e.SetProcTap(func(_ Time, what, name string) {
 		events = append(events, what+" "+name)
 	})
 	e.Go("x", func(p *Proc) { p.Sleep(1) })

@@ -1,42 +1,45 @@
-// Conservative parallel discrete-event execution (PDES).
+// Conservative windowed discrete-event execution (PDES).
 //
 // AddPartition splits an engine into logical processes, each a shard with
 // its own event heap and local clock. Run then proceeds in quantum
 // windows: with t = the earliest pending event across all partitions and
 // L = the lookahead (the minimum cross-partition latency, SetLookahead),
-// every partition may safely dispatch its events in [t, t+L) without
-// hearing from any other partition — a message sent during the window
-// carries a delay >= L, so it lands at or after the window's end. Windows
-// therefore run concurrently, one partition per host worker; at the
-// barrier the coordinator drains every partition's outbox and applies the
-// messages in the total order (at, sender partition, sender send-seq).
+// every partition may dispatch its events in [t, t+L) without hearing
+// from any other partition — a message sent during the window carries a
+// delay >= L, so it lands at or after the window's end. The Run caller
+// dispatches each window's active partitions one after another in
+// partition order; at the barrier it drains every partition's outbox and
+// applies the messages in the total order (at, sender partition, sender
+// send-seq).
 //
 // Determinism: within a window a partition runs the exact sequential
 // (at, seq) loop; the window boundaries depend only on event timestamps;
-// and the barrier merge order is a pure function of message content. No
-// step consults the worker count, so a run's output — every event, every
-// emitted trace record, every counter — is byte-identical from 1 worker
-// to N. Parallelism is purely a host-side execution detail.
+// and the barrier merge order is a pure function of message content, so
+// a run's output — every event, every emitted trace record, every counter
+// — is a pure function of the model.
 //
-// Safety rule: all cross-partition interaction must go through SendTo
+// The windows run on the Run caller, not on host workers: at the fleet's
+// grain (about eight events per partition per 150-cycle window) a window
+// pool never beat one worker (DESIGN §11). Partitions stay as model
+// structure, and the windows keep the exchange discipline a concurrent
+// dispatcher would need.
+//
+// Locality rule: all cross-partition interaction must go through SendTo
 // (or spawn-time GoOn). Queues, conds, resources, and waiter wakeups are
-// partition-local; sharing them across partitions is a model bug that the
-// race detector flags in tests.
+// partition-local; waking a waiter parked on another partition panics
+// (see waiterRef.consume).
 //
 // Partition resolution: nothing here asks a goroutine which partition it
 // runs on. A process carries its shard (Proc.SendTo and the other context
-// forms use it). Before each window it dispatches inline, on the Run
-// caller's goroutine, the coordinator records the window's shard in
-// Engine.inline, the one field the ambient Engine methods consult. A
-// window dispatched on the worker pool has no such shard, so ambient
-// calls there panic (see cur).
+// forms use it). Before each window it dispatches, the coordinator records
+// the window's shard in Engine.inline, the one field the ambient Engine
+// methods consult.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // AddPartition creates a new partition and returns its id. Partitions must
@@ -72,15 +75,10 @@ func (e *Engine) SetLookahead(d Time) {
 	e.lookahead = d
 }
 
-// SetWorkers overrides the number of host goroutines that dispatch quantum
-// windows (runtime.GOMAXPROCS at NewEngine). Values < 1 mean 1. The
-// worker count never affects results, only wall-clock time.
-func (e *Engine) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.workers = n
-}
+// SetWorkers does nothing: every window runs on the Run caller. It stays
+// because the armbench fleet workload still calls it to set the window
+// worker count of the pool the engine no longer has.
+func (e *Engine) SetWorkers(int) {}
 
 // GoOn spawns a process on a specific partition at that partition's
 // current time. During a run, processes may only spawn onto their own
@@ -134,20 +132,10 @@ func (e *Engine) runQuanta(deadline Time, hasDeadline bool) {
 	}
 	e.inRun = true
 	defer func() { e.inRun, e.inline = false, nil }()
-	e.stopAll.Store(false)
+	e.stopAll = false
 	for _, s := range e.parts {
 		s.stopped = false
 	}
-	workers := e.workers
-	if workers > len(e.parts) {
-		workers = len(e.parts)
-	}
-	var pool *windowPool
-	if workers > 1 {
-		pool = newWindowPool(workers, len(e.parts))
-		defer pool.close()
-	}
-	active := make([]*shard, 0, len(e.parts))
 	var msgs []xmsg
 	for {
 		// t = earliest pending event across partitions; the window is
@@ -175,34 +163,23 @@ func (e *Engine) runQuanta(deadline Time, hasDeadline bool) {
 		if hasDeadline && limit > deadline {
 			limit = deadline
 		}
-		active = active[:0]
+		// Each active shard participates in one window; the gap between
+		// its clock and the window bound is the stall a parallel
+		// dispatcher could not overlap — a pure function of event
+		// timestamps.
 		for _, s := range e.parts {
-			if len(s.queue) > 0 && s.queue[0].at <= limit {
-				active = append(active, s)
+			if len(s.queue) == 0 || s.queue[0].at > limit {
+				continue
 			}
-		}
-		if pool == nil || len(active) == 1 {
-			for _, s := range active {
-				e.inline = s
-				s.dispatch(limit, true)
-			}
-		} else {
-			e.inline = nil
-			pool.dispatch(active, limit)
-		}
-		// Health counters, coordinator-side (single-threaded at the
-		// barrier): each active shard participated in one window; the gap
-		// between its clock and the window bound is the stall other
-		// partitions could not overlap — a pure function of event
-		// timestamps, so it is identical at every worker count.
-		for _, s := range active {
+			e.inline = s
+			s.dispatch(limit, true)
 			s.statWindows++
 			if limit != math.MaxInt64 && s.now < limit {
 				s.statStall += int64(limit - s.now)
 			}
 		}
 		msgs = e.drainOutboxes(msgs)
-		if e.stopAll.Load() {
+		if e.stopAll {
 			break
 		}
 	}
@@ -249,66 +226,3 @@ func (e *Engine) drainOutboxes(scratch []xmsg) []xmsg {
 	}
 	return msgs[:0]
 }
-
-// windowPool is the persistent worker set that dispatches quantum windows
-// concurrently. One pool lives for the duration of a Run call; per window
-// the coordinator enqueues the active shards and waits for all of them.
-type windowPool struct {
-	jobs chan windowJob
-	wg   sync.WaitGroup
-	// faults[i] is the panic raised by the window of the i-th active
-	// shard, re-raised on the coordinator after the barrier. A panic ends
-	// the run, so entries never need resetting.
-	faults []any
-}
-
-type windowJob struct {
-	i     int
-	s     *shard
-	limit Time
-}
-
-// newWindowPool starts n workers for an engine with parts partitions.
-func newWindowPool(n, parts int) *windowPool {
-	p := &windowPool{jobs: make(chan windowJob), faults: make([]any, parts)}
-	for i := 0; i < n; i++ {
-		go func() {
-			for j := range p.jobs {
-				p.run(j)
-			}
-		}()
-	}
-	return p
-}
-
-// run dispatches one window on a pool worker. A panic inside it is
-// recorded instead of killing the process, so it reaches the Run caller
-// exactly as it does when windows run inline.
-func (p *windowPool) run(j windowJob) {
-	defer p.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			p.faults[j.i] = r
-		}
-	}()
-	j.s.dispatch(j.limit, true)
-}
-
-// dispatch runs one window across the pool and blocks until every active
-// shard has finished it (the barrier). If any window panicked, the panic
-// of the lowest-numbered one — the one a single worker would have hit
-// first — is re-raised here.
-func (p *windowPool) dispatch(active []*shard, limit Time) {
-	p.wg.Add(len(active))
-	for i, s := range active {
-		p.jobs <- windowJob{i: i, s: s, limit: limit}
-	}
-	p.wg.Wait()
-	for _, r := range p.faults[:len(active)] {
-		if r != nil {
-			panic(r)
-		}
-	}
-}
-
-func (p *windowPool) close() { close(p.jobs) }

@@ -13,15 +13,13 @@ import (
 // cross-partition SendTo messages at randomized legal delays — and returns
 // its complete observable output: per-partition logs merged in partition
 // order, the engine stats, and the parked-proc listing. The workload is a
-// pure function of the seed, so two runs at different worker counts must
-// return identical values.
-func partitionedRun(t *testing.T, workers int, seed int64, deadline Time) ([]string, EngineStats, []string) {
+// pure function of the seed, so two runs must return identical values.
+func partitionedRun(t *testing.T, seed int64, deadline Time) ([]string, EngineStats, []string) {
 	t.Helper()
 	const lookahead = 100
 	e := NewEngine()
 	e.SetLookahead(lookahead)
 	parts := []PartID{0, e.AddPartition("p1"), e.AddPartition("p2"), e.AddPartition("p3")}
-	e.SetWorkers(workers)
 
 	logs := make([][]string, len(parts))
 	inboxes := make([]*Queue[int], len(parts))
@@ -86,48 +84,42 @@ func partitionedRun(t *testing.T, workers int, seed int64, deadline Time) ([]str
 }
 
 // TestPartitionedDeterministicAcrossWorkers is the core byte-identity
-// property: the quantum algorithm's output may not depend on the host
-// worker count.
+// property: two runs of one seeded workload produce the same logs, stats
+// and parked procs.
 func TestPartitionedDeterministicAcrossWorkers(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
-		base, baseStats, baseParked := partitionedRun(t, 1, seed, 0)
+		base, baseStats, baseParked := partitionedRun(t, seed, 0)
 		if len(base) == 0 {
 			t.Fatalf("seed %d produced no output", seed)
 		}
-		for _, workers := range []int{2, 4, 8} {
-			got, gotStats, gotParked := partitionedRun(t, workers, seed, 0)
-			if !reflect.DeepEqual(base, got) {
-				t.Fatalf("seed %d: workers=%d log diverged from workers=1\nserial: %v\nparallel: %v",
-					seed, workers, base, got)
-			}
-			if !reflect.DeepEqual(baseStats, gotStats) {
-				t.Fatalf("seed %d: workers=%d stats %+v != serial %+v", seed, workers, gotStats, baseStats)
-			}
-			if !reflect.DeepEqual(baseParked, gotParked) {
-				t.Fatalf("seed %d: workers=%d parked %v != serial %v", seed, workers, gotParked, baseParked)
-			}
+		got, gotStats, gotParked := partitionedRun(t, seed, 0)
+		if !reflect.DeepEqual(base, got) {
+			t.Fatalf("seed %d: log diverged between two runs\nfirst: %v\nsecond: %v", seed, base, got)
+		}
+		if !reflect.DeepEqual(baseStats, gotStats) {
+			t.Fatalf("seed %d: stats %+v != first run %+v", seed, gotStats, baseStats)
+		}
+		if !reflect.DeepEqual(baseParked, gotParked) {
+			t.Fatalf("seed %d: parked %v != first run %v", seed, gotParked, baseParked)
 		}
 	}
 }
 
 // TestPartitionedRunUntilAcrossWorkers checks the deadline semantics under
-// the quantum loop: identical truncated output at every worker count, all
-// partition clocks advanced to the deadline, and a later Run picking up
-// the rest.
+// the quantum loop: identical truncated output across two runs, and all
+// partition clocks advanced to the deadline.
 func TestPartitionedRunUntilAcrossWorkers(t *testing.T) {
 	const seed, deadline = 11, 250
-	base, baseStats, baseParked := partitionedRun(t, 1, seed, deadline)
-	for _, workers := range []int{2, 8} {
-		got, gotStats, gotParked := partitionedRun(t, workers, seed, deadline)
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("workers=%d RunUntil log diverged\nserial: %v\nparallel: %v", workers, base, got)
-		}
-		if !reflect.DeepEqual(baseStats, gotStats) {
-			t.Fatalf("workers=%d RunUntil stats %+v != %+v", workers, gotStats, baseStats)
-		}
-		if !reflect.DeepEqual(baseParked, gotParked) {
-			t.Fatalf("workers=%d RunUntil parked %v != %v", workers, gotParked, baseParked)
-		}
+	base, baseStats, baseParked := partitionedRun(t, seed, deadline)
+	got, gotStats, gotParked := partitionedRun(t, seed, deadline)
+	if !reflect.DeepEqual(base, got) {
+		t.Fatalf("RunUntil log diverged between two runs\nfirst: %v\nsecond: %v", base, got)
+	}
+	if !reflect.DeepEqual(baseStats, gotStats) {
+		t.Fatalf("RunUntil stats %+v != first run %+v", gotStats, baseStats)
+	}
+	if !reflect.DeepEqual(baseParked, gotParked) {
+		t.Fatalf("RunUntil parked %v != first run %v", gotParked, baseParked)
 	}
 	if baseStats.Cycles != deadline {
 		t.Fatalf("RunUntil left clock at %d, want deadline %d", baseStats.Cycles, deadline)
@@ -135,16 +127,11 @@ func TestPartitionedRunUntilAcrossWorkers(t *testing.T) {
 }
 
 // TestPartitionedRunUntilThenRun resumes a deadline-bounded partitioned
-// run and checks the final output equals an unbounded run.
+// run: RunUntil stops the walk midway and a later Run finishes it.
 func TestPartitionedRunUntilThenRun(t *testing.T) {
-	full, fullStats, _ := partitionedRun(t, 4, 3, 0)
-
-	// Replay the same workload but split the execution at a deadline.
-	// partitionedRun can't express that directly, so rebuild inline.
 	e := NewEngine()
 	e.SetLookahead(50)
 	p1 := e.AddPartition("p1")
-	e.SetWorkers(4)
 	var log []string
 	e.GoOn(p1, "walker", func(p *Proc) {
 		for i := 0; i < 10; i++ {
@@ -161,8 +148,6 @@ func TestPartitionedRunUntilThenRun(t *testing.T) {
 	if len(log) != 10 {
 		t.Fatalf("resume incomplete: %d steps", len(log))
 	}
-	_ = full
-	_ = fullStats
 }
 
 // TestPartitionedRunUntilPanicsOnTimeRegression is the deadline-regression
@@ -202,8 +187,8 @@ func TestPartitionedRunPanicsOnTimeRegression(t *testing.T) {
 }
 
 // TestSendToBelowLookaheadPanics: a cross-partition delay below the
-// lookahead would let a message land inside a window another partition is
-// concurrently executing — the engine must refuse it loudly.
+// lookahead would let a message land inside a window another partition
+// has already executed — the engine must refuse it loudly.
 func TestSendToBelowLookaheadPanics(t *testing.T) {
 	e := NewEngine()
 	e.SetLookahead(100)
@@ -289,8 +274,6 @@ func TestProcPart(t *testing.T) {
 	e := NewEngine()
 	e.SetLookahead(10)
 	p1 := e.AddPartition("p1")
-	// Each fiber writes its own slot: the two partitions may dispatch
-	// concurrently, so the order of their writes is not fixed.
 	got := make([]PartID, 2)
 	e.Go("root", func(p *Proc) { got[0] = p.Part() })
 	e.GoOn(p1, "one", func(p *Proc) { got[1] = p.Part() })
@@ -319,38 +302,28 @@ func TestGoOnCrossPartitionDuringRunPanics(t *testing.T) {
 	}
 }
 
-// TestWindowPanicReachesRunCaller: a panic in an event callback reaches
-// the Run caller at every worker count, including when the window runs on
-// a pool worker rather than inline.
+// TestWindowPanicReachesRunCaller: a panic in an event callback of a
+// window with two active partitions reaches the Run caller.
 func TestWindowPanicReachesRunCaller(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			e := NewEngine()
-			e.SetLookahead(10)
-			p1 := e.AddPartition("p1")
-			p2 := e.AddPartition("p2")
-			e.SetWorkers(workers)
-			e.SendTo(p1, 1, func() {})
-			e.SendTo(p2, 3, func() { panic("boom") })
-			var got any
-			func() {
-				defer func() { got = recover() }()
-				e.Run()
-			}()
-			if got != "boom" {
-				t.Fatalf("recovered %v, want boom", got)
-			}
-		})
+	e := NewEngine()
+	e.SetLookahead(10)
+	p1 := e.AddPartition("p1")
+	p2 := e.AddPartition("p2")
+	e.SendTo(p1, 1, func() {})
+	e.SendTo(p2, 3, func() { panic("boom") })
+	if got := runPanic(e); got != "boom" {
+		t.Fatalf("recovered %v, want boom", got)
 	}
 }
 
-// TestPartitionedEngineStatsMergeOrderIndependent: folding the same
-// snapshots in any order gives one answer (the runlog relies on this).
+// TestPartitionedEngineStatsAcrossWorkersMatchSerialMerge: the engine
+// stats of two runs of one partitioned workload are identical and
+// plausible.
 func TestPartitionedEngineStatsAcrossWorkersMatchSerialMerge(t *testing.T) {
-	_, s1, _ := partitionedRun(t, 1, 99, 0)
-	_, s8, _ := partitionedRun(t, 8, 99, 0)
-	if !reflect.DeepEqual(s1, s8) {
-		t.Fatalf("stats differ across worker counts: %+v vs %+v", s1, s8)
+	_, s1, _ := partitionedRun(t, 99, 0)
+	_, s2, _ := partitionedRun(t, 99, 0)
+	if !reflect.DeepEqual(s1, s2) {
+		t.Fatalf("stats differ between two runs: %+v vs %+v", s1, s2)
 	}
 	if s1.Events == 0 || s1.ProcsSpawned == 0 {
 		t.Fatalf("implausible stats: %+v", s1)

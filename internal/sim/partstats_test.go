@@ -10,7 +10,7 @@ import (
 // volume — totalled and broken down per partition, and the breakdown is
 // internally consistent.
 func TestPartitionedStatsHealthCounters(t *testing.T) {
-	_, st, _ := partitionedRun(t, 4, 42, 50000)
+	_, st, _ := partitionedRun(t, 42, 50000)
 	if st.Windows == 0 {
 		t.Error("Windows = 0, want > 0 on a partitioned run")
 	}
@@ -43,15 +43,12 @@ func TestPartitionedStatsHealthCounters(t *testing.T) {
 }
 
 // TestPartitionedStatsDeterministicAcrossWorkers: the health counters are
-// simulated-time quantities, so they are identical at every host worker
-// count — BENCH comparisons across worker counts are apples to apples.
+// simulated-time quantities, so two runs of one workload report the same
+// ones.
 func TestPartitionedStatsDeterministicAcrossWorkers(t *testing.T) {
-	_, base, _ := partitionedRun(t, 1, 7, 50000)
-	for _, workers := range []int{2, 4, 8} {
-		_, st, _ := partitionedRun(t, workers, 7, 50000)
-		if !reflect.DeepEqual(st, base) {
-			t.Errorf("workers=%d: stats differ\n got %+v\nwant %+v", workers, st, base)
-		}
+	_, base, _ := partitionedRun(t, 7, 50000)
+	if _, st, _ := partitionedRun(t, 7, 50000); !reflect.DeepEqual(st, base) {
+		t.Errorf("stats differ between two runs\n got %+v\nwant %+v", st, base)
 	}
 }
 
@@ -72,8 +69,8 @@ func TestSequentialStatsOmitHealthCounters(t *testing.T) {
 // something for a single engine; folding a second engine clears it while
 // the scalar counters keep summing.
 func TestMergeDropsPartsAcrossEngines(t *testing.T) {
-	_, a, _ := partitionedRun(t, 2, 1, 20000)
-	_, b, _ := partitionedRun(t, 2, 2, 20000)
+	_, a, _ := partitionedRun(t, 1, 20000)
+	_, b, _ := partitionedRun(t, 2, 20000)
 	var m EngineStats
 	m.Merge(a)
 	if !reflect.DeepEqual(m.Parts, a.Parts) {

@@ -14,7 +14,7 @@ import (
 // returns one log per logical partition. With partitioned set, logical
 // partition i is engine partition i (lookahead 20); otherwise everything
 // shares the serial engine's one partition and SendTo is plain After.
-func procFormsRun(partitioned bool, workers int, seed int64) [][]string {
+func procFormsRun(partitioned bool, seed int64) [][]string {
 	const lookahead, nparts = 20, 4
 	e := NewEngine()
 	part := func(i int) PartID { return 0 }
@@ -25,7 +25,6 @@ func procFormsRun(partitioned bool, workers int, seed int64) [][]string {
 		}
 		part = func(i int) PartID { return PartID(i) }
 	}
-	e.SetWorkers(workers)
 	logs := make([][]string, nparts)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < nparts; i++ {
@@ -71,20 +70,18 @@ func procFormsRun(partitioned bool, workers int, seed int64) [][]string {
 }
 
 // TestProcFormsMatchSerialAcrossWorkers: a workload written in the Proc
-// forms produces byte-identical logs at 1, 2 and 4 window workers, and
-// the same timestamped events on every partition as on the serial
-// engine. The serial comparison sorts each partition's log: the serial
-// engine orders a barrier-delivered message against a local event at the
-// same timestamp by its global sequence number, the partitioned one by
+// forms produces byte-identical logs in two partitioned runs, and the
+// same timestamped events on every partition as on the serial engine.
+// The serial comparison sorts each partition's log: the serial engine
+// orders a barrier-delivered message against a local event at the same
+// timestamp by its global sequence number, the partitioned one by
 // barrier order, and both are deterministic.
 func TestProcFormsMatchSerialAcrossWorkers(t *testing.T) {
 	for _, seed := range []int64{1, 5, 23} {
-		serial := procFormsRun(false, 1, seed)
-		base := procFormsRun(true, 1, seed)
-		for _, workers := range []int{2, 4} {
-			if got := procFormsRun(true, workers, seed); !reflect.DeepEqual(base, got) {
-				t.Fatalf("seed %d: workers=%d logs diverged from workers=1\n1: %v\n%d: %v", seed, workers, base, workers, got)
-			}
+		serial := procFormsRun(false, seed)
+		base := procFormsRun(true, seed)
+		if got := procFormsRun(true, seed); !reflect.DeepEqual(base, got) {
+			t.Fatalf("seed %d: logs diverged between two partitioned runs\nfirst: %v\nsecond: %v", seed, base, got)
 		}
 		for i := range serial {
 			want := append([]string(nil), serial[i]...)
@@ -99,14 +96,13 @@ func TestProcFormsMatchSerialAcrossWorkers(t *testing.T) {
 }
 
 // TestAmbientSendToFromFiberAtOneWorker: an ambient Engine.SendTo from a
-// fiber on a two-partition engine at one worker sends from the fiber's
-// partition — its clock and its outbox — exactly as Proc.SendTo does.
+// fiber on a two-partition engine sends from the fiber's partition — its
+// clock and its outbox — exactly as Proc.SendTo does.
 func TestAmbientSendToFromFiberAtOneWorker(t *testing.T) {
 	const hop = 10
 	e := NewEngine()
 	src, dst := e.AddPartition("src"), e.AddPartition("dst")
 	e.SetLookahead(hop)
-	e.SetWorkers(1)
 	var landed []Time
 	var nowInFiber Time
 	e.GoOn(src, "sender", func(p *Proc) {
@@ -137,42 +133,63 @@ func runPanic(e *Engine) (r any) {
 	return nil
 }
 
-// TestAmbientCallInParallelWindowPanics: inside a window dispatched on
-// the worker pool no partition is current, so an ambient call — from a
-// fiber or from an event callback — panics, and the panic names the Proc
-// form and reaches the Run caller.
-func TestAmbientCallInParallelWindowPanics(t *testing.T) {
+// TestAmbientCallActsOnWindowPartition: during a run an ambient call —
+// from a fiber or from an event callback — acts on the partition whose
+// window is being dispatched. The caller on p1 calls at its clock 5 while
+// p2, dispatched after it in the window, still reads 0, so each landing
+// time shows which partition's clock the call used.
+func TestAmbientCallActsOnWindowPartition(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		call func(e *Engine, p *Proc)
+		call func(e *Engine, p *Proc, got *Time)
+		want Time
 	}{
-		{"fiber After", func(e *Engine, p *Proc) { e.After(1, func() {}) }},
-		{"fiber SendTo", func(e *Engine, p *Proc) { e.SendTo(1, 10, func() {}) }},
-		{"callback Now", func(e *Engine, p *Proc) { p.After(1, func() { e.Now() }) }},
+		{"fiber After", func(e *Engine, p *Proc, got *Time) { e.After(1, func() { *got = e.Now() }) }, 6},
+		{"fiber SendTo", func(e *Engine, p *Proc, got *Time) { e.SendTo(2, 10, func() { *got = e.Now() }) }, 15},
+		{"callback Now", func(e *Engine, p *Proc, got *Time) { p.After(1, func() { *got = e.Now() }) }, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine()
 			e.SetLookahead(10)
 			p1, p2 := e.AddPartition("p1"), e.AddPartition("p2")
-			e.SetWorkers(2)
+			got := Time(-1)
 			e.GoOn(p1, "caller", func(p *Proc) {
-				p.Sleep(1)
-				tc.call(e, p)
+				p.Sleep(5)
+				tc.call(e, p, &got)
 				p.Sleep(1)
 			})
 			e.GoOn(p2, "bystander", func(p *Proc) { p.Sleep(3) })
-			r := runPanic(e)
-			if r == nil || !strings.Contains(fmt.Sprint(r), "Proc form") {
-				t.Fatalf("Run panicked with %v, want the ambient-call panic naming the Proc form", r)
+			e.Run()
+			if got != tc.want {
+				t.Fatalf("the call's callback read clock %d, want %d on the caller's partition", got, tc.want)
 			}
 		})
 	}
 }
 
+// TestCrossPartitionWakePanics: a queue is partition-local, so a proc on
+// p1 sending to a queue whose receiver is parked on p2 is a model bug;
+// Run panics and names SendTo as the way across.
+func TestCrossPartitionWakePanics(t *testing.T) {
+	e := NewEngine()
+	e.SetLookahead(10)
+	p1, p2 := e.AddPartition("p1"), e.AddPartition("p2")
+	q := NewQueue[int](e, "q")
+	e.GoOn(p2, "receiver", func(p *Proc) { q.Recv(p) })
+	e.GoOn(p1, "sender", func(p *Proc) {
+		p.Sleep(20)
+		q.Send(1)
+	})
+	r := runPanic(e)
+	if msg := fmt.Sprint(r); !strings.Contains(msg, "receiver parked on partition 2") || !strings.Contains(msg, "SendTo") {
+		t.Fatalf("Run panicked with %v, want the cross-partition wake panic naming SendTo", r)
+	}
+}
+
 // TestFiberPanicReachesRunCaller: a panic in a process body, or in an
-// event its goroutine dispatches after taking over the loop, is re-raised
+// event its coroutine dispatches after taking over the loop, is re-raised
 // on the goroutine that called Run instead of killing the process — on
-// the serial engine and on a partitioned one at one and two workers.
+// the serial engine and on a partitioned one.
 func TestFiberPanicReachesRunCaller(t *testing.T) {
 	bodies := []struct {
 		name string
@@ -188,13 +205,12 @@ func TestFiberPanicReachesRunCaller(t *testing.T) {
 		}},
 	}
 	for _, cfg := range []struct {
-		name           string
-		parts, workers int
-	}{{"serial", 1, 1}, {"par1", 3, 1}, {"par2", 3, 2}} {
+		name  string
+		parts int
+	}{{"serial", 1}, {"par1", 3}} {
 		for _, b := range bodies {
 			t.Run(cfg.name+"/"+b.name, func(t *testing.T) {
 				e := NewEngine()
-				e.SetWorkers(cfg.workers)
 				if cfg.parts > 1 {
 					e.SetLookahead(10)
 					for i := 1; i < cfg.parts; i++ {
@@ -202,8 +218,7 @@ func TestFiberPanicReachesRunCaller(t *testing.T) {
 					}
 				}
 				// A ticker on every partition keeps each window's
-				// partitions active, so at two workers they run in
-				// parallel.
+				// partitions active.
 				for i := 0; i < cfg.parts; i++ {
 					e.GoOn(PartID(i), "ticker", func(p *Proc) {
 						for k := 0; k < 5; k++ {

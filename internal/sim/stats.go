@@ -48,8 +48,7 @@ type EngineStats struct {
 	// Windows counts per-partition quantum-window participations,
 	// BarrierStallCycles the simulated cycles partitions lagged the window
 	// bound at barriers, OutboxMsgs the cross-partition messages buffered.
-	// All are functions of event timestamps alone, so they are identical
-	// at every worker count.
+	// All are functions of event timestamps alone, never of host time.
 	Windows            int64 `json:"windows,omitempty"`
 	BarrierStallCycles int64 `json:"barrier_stall_cycles,omitempty"`
 	OutboxMsgs         int64 `json:"outbox_msgs,omitempty"`
@@ -100,9 +99,9 @@ func (s *EngineStats) Merge(o EngineStats) {
 // Stats returns the engine's work counters, folded across its partitions:
 // events, switches, and spawns sum; HeapHighWater is the deepest partition
 // heap; Cycles is the furthest partition clock. Every term is driven by
-// the deterministic event sequence, so the snapshot is identical at any
-// worker count. Call it only after the engine has gone idle (Run
-// returned); reading mid-run from another goroutine is a data race.
+// the deterministic event sequence, so the snapshot is identical on every
+// run. Call it only after the engine has gone idle (Run returned); reading
+// mid-run from another goroutine is a data race.
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{Engines: 1}
 	for _, s := range e.parts {

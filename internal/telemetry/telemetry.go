@@ -12,16 +12,9 @@
 // (per-bucket maximum). Nothing consults the host clock, so a run's series
 // are as reproducible as its tables.
 //
-// Like obs.Recorder, a Sampler on a partitioned machine splits its buffers
-// per engine partition (Partition mirrors hw's layout) so concurrently
-// dispatched quantum windows never share a write target; Series merges the
-// partitions on read in a canonical order. Every hook must therefore be
-// invoked from the partition that owns the sampled PCPU (machine-level
-// samples, pcpu < 0, belong to the shared partition 0) — the same
-// discipline the recorder's EmitPart enforces, checked by the race
-// detector in tests. Because per-bucket merge is elementwise sum (or max
-// for gauges), the merged series are byte-identical at any engine worker
-// count and -j level.
+// Like obs.Recorder, a Sampler is written only from inside its machine's
+// engine, which runs one process at a time on every partition layout, so
+// one set of buffers serves partitioned and unpartitioned machines alike.
 //
 // A nil *Sampler is a valid no-op recorder: every exported method begins
 // with the nil guard, so unsampled runs pay only a nil check (the
@@ -29,8 +22,6 @@
 package telemetry
 
 import (
-	"fmt"
-
 	"armvirt/internal/sim"
 	"armvirt/internal/stats"
 )
@@ -130,26 +121,16 @@ func (c *column) add(b int, v int64) {
 	c.vals[b] += v
 }
 
-// partState is one partition's private buffers.
-type partState struct {
-	cols    map[Key]*column
-	hist    []*stats.Histogram // IRQ latency per CPU; index ncpu = machine
-	samples int64
-}
-
-func newPartState(ncpu int) *partState {
-	return &partState{cols: make(map[Key]*column), hist: make([]*stats.Histogram, ncpu+1)}
-}
-
 // Sampler records deterministic simulated-time series for one machine.
-// Construct with NewSampler; attach to a machine with hw.Machine.SetSampler
-// (which also mirrors the engine's partition layout via Partition).
+// Construct with NewSampler; attach to a machine with
+// hw.Machine.SetSampler.
 type Sampler struct {
 	ncpu     int
 	freqMHz  int
 	interval sim.Time
-	cpuPart  []int // pcpu -> owning partition (nil = single partition)
-	parts    []*partState
+	cols     map[Key]*column
+	hist     []*stats.Histogram // IRQ latency per CPU; index ncpu = machine
+	samples  int64
 }
 
 // NewSampler returns a sampler for an ncpu-CPU machine clocked at freqMHz,
@@ -168,7 +149,8 @@ func NewSampler(ncpu, freqMHz int, interval sim.Time) *Sampler {
 		ncpu:     ncpu,
 		freqMHz:  freqMHz,
 		interval: interval,
-		parts:    []*partState{newPartState(ncpu)},
+		cols:     make(map[Key]*column),
+		hist:     make([]*stats.Histogram, ncpu+1),
 	}
 }
 
@@ -188,58 +170,11 @@ func (s *Sampler) NCPU() int {
 	return s.ncpu
 }
 
-// Partition splits the sampler's buffers across nparts engine partitions:
-// samples for pcpu i land in partition cpuPart[i]'s private buffers,
-// machine-level samples (pcpu < 0) in partition 0's. It mirrors
-// obs.Recorder.Partition and must be called before any sample is recorded.
-func (s *Sampler) Partition(nparts int, cpuPart []int) {
-	if s == nil {
-		return
-	}
-	if nparts < 1 {
-		nparts = 1
-	}
-	if len(cpuPart) != s.ncpu {
-		panic(fmt.Sprintf("telemetry: Partition cpuPart has %d entries for %d CPUs", len(cpuPart), s.ncpu))
-	}
-	for cpu, part := range cpuPart {
-		if part < 0 || part >= nparts {
-			panic(fmt.Sprintf("telemetry: Partition cpu %d on partition %d, valid range [0,%d)", cpu, part, nparts))
-		}
-	}
-	for _, ps := range s.parts {
-		if ps.samples != 0 {
-			panic("telemetry: Partition after samples were recorded")
-		}
-	}
-	s.cpuPart = append([]int(nil), cpuPart...)
-	s.parts = make([]*partState, nparts)
-	for i := range s.parts {
-		s.parts[i] = newPartState(s.ncpu)
-	}
-}
-
-// Partitions returns the number of series partitions (0 on a nil sampler).
-func (s *Sampler) Partitions() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.parts)
-}
-
-// partFor resolves the partition owning samples stamped with pcpu.
-func (s *Sampler) partFor(cpu int) *partState {
-	if s.cpuPart == nil || cpu < 0 || cpu >= len(s.cpuPart) {
-		return s.parts[0]
-	}
-	return s.parts[s.cpuPart[cpu]]
-}
-
-func (s *Sampler) col(ps *partState, k Key, max bool) *column {
-	c := ps.cols[k]
+func (s *Sampler) col(k Key, max bool) *column {
+	c := s.cols[k]
 	if c == nil {
 		c = &column{max: max}
-		ps.cols[k] = c
+		s.cols[k] = c
 	}
 	return c
 }
@@ -253,9 +188,8 @@ func (s *Sampler) addSpan(series, name string, cpu int, vm string, from, to sim.
 	if from < 0 {
 		from = 0
 	}
-	ps := s.partFor(cpu)
-	ps.samples++
-	c := s.col(ps, Key{Series: series, Name: name, CPU: cpu, VM: vm}, false)
+	s.samples++
+	c := s.col(Key{Series: series, Name: name, CPU: cpu, VM: vm}, false)
 	for t := from; t < to; {
 		b := int(t / s.interval)
 		end := sim.Time(b+1) * s.interval
@@ -308,8 +242,7 @@ func (s *Sampler) NoteRunQueue(t sim.Time, cpu int, depth int64) {
 }
 
 // Count adds n to the named counter (one of the Ctr* constants) at time t.
-// pcpu < 0 records at machine level (partition 0 on a partitioned
-// machine — the caller must then be executing on the shared partition).
+// pcpu < 0 records at machine level.
 func (s *Sampler) Count(t sim.Time, cpu int, name string, n int64) {
 	if s == nil {
 		return
@@ -321,9 +254,8 @@ func (s *Sampler) point(series, name string, cpu int, vm string, t sim.Time, v i
 	if t < 0 {
 		t = 0
 	}
-	ps := s.partFor(cpu)
-	ps.samples++
-	s.col(ps, Key{Series: series, Name: name, CPU: cpu, VM: vm}, max).add(int(t/s.interval), v)
+	s.samples++
+	s.col(Key{Series: series, Name: name, CPU: cpu, VM: vm}, max).add(int(t/s.interval), v)
 }
 
 // ObserveIRQLatency records one IRQ delivery-to-consumption latency (in
@@ -335,29 +267,24 @@ func (s *Sampler) ObserveIRQLatency(cpu int, lat sim.Time) {
 	if lat < 0 {
 		return
 	}
-	ps := s.partFor(cpu)
-	ps.samples++
+	s.samples++
 	idx := s.ncpu
 	if cpu >= 0 && cpu < s.ncpu {
 		idx = cpu
 	}
-	h := ps.hist[idx]
+	h := s.hist[idx]
 	if h == nil {
 		h = stats.NewHistogram()
-		ps.hist[idx] = h
+		s.hist[idx] = h
 	}
 	h.Observe(int64(lat))
 }
 
-// Samples returns the total number of recorded samples across partitions
-// (0 on a nil sampler). Deterministic: every sample is an engine event.
+// Samples returns the total number of recorded samples (0 on a nil
+// sampler). Deterministic: every sample is an engine event.
 func (s *Sampler) Samples() int64 {
 	if s == nil {
 		return 0
 	}
-	var n int64
-	for _, ps := range s.parts {
-		n += ps.samples
-	}
-	return n
+	return s.samples
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -19,8 +18,7 @@ func TestNilSamplerIsNoOp(t *testing.T) {
 	s.NoteRunQueue(10, 0, 3)
 	s.Count(10, -1, CtrGICDelivery, 1)
 	s.ObserveIRQLatency(0, 50)
-	s.Partition(2, nil)
-	if s.Samples() != 0 || s.Interval() != 0 || s.NCPU() != 0 || s.Partitions() != 0 {
+	if s.Samples() != 0 || s.Interval() != 0 || s.NCPU() != 0 {
 		t.Fatal("nil sampler reported non-zero state")
 	}
 	ts := s.Series()
@@ -67,42 +65,6 @@ func TestPointAndGaugeSemantics(t *testing.T) {
 	}
 }
 
-// TestPartitionMergeIsOrderIndependent: the same samples recorded into
-// different partitions must merge to the same series a single-partition
-// sampler records — sums for counters/spans, maxima for gauges.
-func TestPartitionMergeIsOrderIndependent(t *testing.T) {
-	single := NewSampler(2, 1, 100)
-	split := NewSampler(2, 1, 100)
-	split.Partition(3, []int{1, 2}) // pcpu0 -> part1, pcpu1 -> part2
-	if split.Partitions() != 3 {
-		t.Fatalf("partitions = %d, want 3", split.Partitions())
-	}
-	for _, s := range []*Sampler{single, split} {
-		s.AddPhaseSpan(0, "vm", PhaseGuest, 0, 150)
-		s.AddPhaseSpan(1, "vm", PhaseHyp, 50, 120)
-		s.AddSteal(1, "", 120, 180)
-		s.IncExit(60, 0, "vm", "wfi")
-		s.NoteRunQueue(10, 0, 4)
-		s.NoteRunQueue(20, 1, 9)
-		s.Count(5, -1, CtrNICIRQ, 2) // machine level -> partition 0
-		s.ObserveIRQLatency(0, 40)
-		s.ObserveIRQLatency(1, 80)
-	}
-	var a, b bytes.Buffer
-	if err := WriteJSON(&a, []Series{single.Series()}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSON(&b, []Series{split.Series()}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("partitioned merge differs from single-partition series:\n--- single ---\n%s\n--- split ---\n%s", a.Bytes(), b.Bytes())
-	}
-	if single.Samples() != split.Samples() {
-		t.Errorf("samples %d != %d", single.Samples(), split.Samples())
-	}
-}
-
 // TestSeriesSortedAndRepeatable: Series output is in canonical key order
 // and byte-identical across repeated snapshots.
 func TestSeriesSortedAndRepeatable(t *testing.T) {
@@ -133,31 +95,6 @@ func TestSeriesSortedAndRepeatable(t *testing.T) {
 	if !strings.HasPrefix(c1.String(), "machine,series,name,cpu,vm,bucket,t_us,value\n") {
 		t.Errorf("CSV header missing: %q", c1.String()[:60])
 	}
-}
-
-// TestPartitionValidation: the layout must match the machine and precede
-// sampling.
-func TestPartitionValidation(t *testing.T) {
-	expectPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	expectPanic("wrong cpuPart length", func() {
-		NewSampler(2, 1, 100).Partition(2, []int{0})
-	})
-	expectPanic("partition out of range", func() {
-		NewSampler(2, 1, 100).Partition(2, []int{0, 5})
-	})
-	expectPanic("partition after samples", func() {
-		s := NewSampler(2, 1, 100)
-		s.Count(1, 0, CtrDiskReq, 1)
-		s.Partition(2, []int{0, 1})
-	})
 }
 
 // TestIRQLatencyHistogram: observations land in the right per-CPU

@@ -116,7 +116,7 @@ type fleetToken struct {
 // lookahead-bounded channel a partitioned machine routes through SendTo —
 // while the token churn stays CPU-local. The per-CPU checksums fold every
 // hop with its simulated timestamp, so a byte-identical claim across
-// engine worker counts is falsifiable from the result alone.
+// partitioned and serial machines is falsifiable from the result alone.
 func Fleet(m *hw.Machine, pr FleetParams) FleetResult {
 	pr = pr.withDefaults()
 	eng := m.Eng
