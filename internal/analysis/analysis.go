@@ -119,19 +119,6 @@ func pkgFunc(info *types.Info, e ast.Expr) (path, name string, ok bool) {
 	return pn.Imported().Path(), sel.Sel.Name, true
 }
 
-// calleeName returns the bare name of a called function or method
-// (stripping any selector qualifier), or "" when the callee is not an
-// identifier-shaped expression.
-func calleeName(call *ast.CallExpr) string {
-	switch fn := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fn.Name
-	case *ast.SelectorExpr:
-		return fn.Sel.Name
-	}
-	return ""
-}
-
 // isMethodCall reports whether call is a method invocation (selection of
 // kind MethodVal), and returns the receiver expression.
 func isMethodCall(info *types.Info, call *ast.CallExpr) (recv ast.Expr, sel *types.Selection, ok bool) {

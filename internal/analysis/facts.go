@@ -74,7 +74,7 @@ type FuncFacts struct {
 	Contains []NodeID
 
 	// DispatchArgs are the function values this body hands to the sim
-	// engine's dispatch surface (Go/GoAt/GoOn/At/After/SendTo and the
+	// engine's dispatch surface (Go/GoOn/At/After/SendTo and the
 	// process-lifecycle tap): the roots of partitioned-dispatch
 	// reachability.
 	DispatchArgs []NodeID
@@ -173,10 +173,10 @@ func (m *Module) FuncsOf(importPath string) []NodeID {
 // inside partitioned dispatch: spawned process bodies, scheduled
 // callbacks, cross-partition messages, and the process-lifecycle tap the
 // engine invokes while dispatching. The surface lives on two receivers:
-// Engine (the ambient forms) and Proc (the context forms Go, At, After
-// and SendTo, which act on the process's own partition).
+// Engine (the ambient forms) and Proc (SendTo, which sends from the
+// process's own partition).
 var dispatchAPIs = map[string]bool{
-	"Go": true, "GoAt": true, "GoOn": true,
+	"Go": true, "GoOn": true,
 	"At": true, "After": true, "SendTo": true,
 	"SetProcTap": true,
 }

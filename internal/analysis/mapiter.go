@@ -5,7 +5,7 @@
 // appends rows, prints lines, sends on a channel, or returns from inside
 // the loop emits output in a different order every execution — precisely
 // the class of bug the report-diff and prof-determinism CI gates exist to
-// catch at runtime. The blessed shape (Engine.ParkedProcs, Metrics.Render)
+// catch at runtime. The blessed shape (bench.PlatformNames, Metrics.Render)
 // is collect-then-sort: append the keys or rows to a slice inside the
 // loop, then pass that slice to sort.*/slices.Sort* before anything reads
 // it.

@@ -11,7 +11,7 @@
 // drained at barriers in deterministic (time, sender, sequence) order.
 //
 // partsafe walks the module call graph from every function value handed
-// to the engine's dispatch surface (Go/GoAt/GoOn/At/After/SendTo and the
+// to the engine's dispatch surface (Go/GoOn/At/After/SendTo and the
 // tracer/tap setters, per Module.DispatchReachable) and reports any
 // package-level-variable write reachable from those roots, in packages
 // within the deterministic scope (the detclock scope). The remediation

@@ -1,6 +1,6 @@
 // Package a exercises mapiter: map iteration whose results escape in an
 // order-sensitive way must be flagged unless the collected slice is
-// sorted in the same function (the Engine.ParkedProcs blessed shape), and
+// sorted in the same function (the bench.PlatformNames blessed shape), and
 // commutative aggregation must stay silent.
 package a
 

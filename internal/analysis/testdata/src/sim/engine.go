@@ -1,6 +1,6 @@
 // Stand-in engine API for the cross-package analyzers: a named type
-// Engine (dispatch surface Go/GoAt/GoOn/At/After/SendTo plus the tracer
-// hook), a named type Proc (the context forms Go/At/After/SendTo) and the
+// Engine (dispatch surface Go/GoOn/At/After/SendTo plus the tracer
+// hook), a named type Proc (its SendTo) and the
 // run-scope entry points, in a package named sim —
 // which is all partsafe and bindcheck key on, so fixtures exercise them
 // without importing the real engine. No clocks, no randomness: this file
@@ -17,7 +17,6 @@ type Engine struct {
 func NewEngine() *Engine { return &Engine{} }
 
 func (e *Engine) Go(body func())                       {}
-func (e *Engine) GoAt(at int64, body func())           {}
 func (e *Engine) GoOn(part int, at int64, body func()) {}
 func (e *Engine) At(at int64, fn func())               {}
 func (e *Engine) After(d int64, fn func())             {}
@@ -25,14 +24,11 @@ func (e *Engine) SendTo(part int, at int64, fn func()) {}
 func (e *Engine) SetProcTap(fn func(at int64))         {}
 func (e *Engine) Run()                                 {}
 
-// Proc mimics a simulated process and its context-form dispatch surface.
+// Proc mimics a simulated process and its dispatch surface.
 type Proc struct {
 	part int
 }
 
-func (p *Proc) Go(body func())                       {}
-func (p *Proc) At(at int64, fn func())               {}
-func (p *Proc) After(d int64, fn func())             {}
 func (p *Proc) SendTo(part int, at int64, fn func()) {}
 
 // StatsCollector mimics the run-scoped stats collector.

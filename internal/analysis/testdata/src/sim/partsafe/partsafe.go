@@ -46,10 +46,10 @@ func helper() {
 	hits-- // want `writes package-level partsafe.hits`
 }
 
-// ProcForms hands callbacks to the process-context forms, which dispatch
-// exactly as the engine's ambient forms do.
+// ProcForms hands callbacks to Proc.SendTo, which dispatches exactly as
+// the engine's ambient form does.
 func ProcForms(p *sim.Proc) {
-	p.After(5, func() {
+	p.SendTo(1, 20, func() {
 		hits++ // want `writes package-level partsafe.hits`
 	})
 	p.SendTo(1, 20, procTick)

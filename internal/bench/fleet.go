@@ -70,6 +70,6 @@ func (r FleetResult) Render() string {
 	fmt.Fprintf(&b, "total: %d hops, %d IPIs, %.1f us simulated, %d events, %d profiled cycles\n",
 		r.Fleet.Hops, r.Fleet.IPIs, r.Fleet.ElapsedUs, r.Events, r.ProfiledCycles)
 	fmt.Fprintf(&b, "checksum: %016x (folds every hop and IRQ with its timestamp;\n", r.Fleet.Checksum)
-	b.WriteString(" identical at every window-worker count (GOMAXPROCS) by the engine's determinism contract)\n")
+	b.WriteString(" identical on the serial engine and at every -j and GOMAXPROCS by the engine's determinism contract)\n")
 	return b.String()
 }

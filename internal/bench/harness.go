@@ -49,14 +49,6 @@ type Cell struct {
 	NA bool
 }
 
-// DeltaPct is the signed percentage difference from the paper value.
-func (c Cell) DeltaPct() float64 {
-	if c.NA || c.Paper == 0 {
-		return 0
-	}
-	return 100 * (c.Measured - c.Paper) / c.Paper
-}
-
 // TableIIResult holds the regenerated microbenchmark table.
 type TableIIResult struct {
 	// Cells[platform][micro].

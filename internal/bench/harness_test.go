@@ -18,7 +18,7 @@ func TestTableIIMatchesPaper(t *testing.T) {
 	for _, label := range Platforms {
 		for _, name := range Micros {
 			c := res.Cells[label][name]
-			if d := math.Abs(c.DeltaPct()); d > 2 {
+			if d := 100 * math.Abs(c.Measured-c.Paper) / c.Paper; d > 2 {
 				t.Errorf("%s / %s: measured %.0f vs paper %.0f (%.1f%%)",
 					label, name, c.Measured, c.Paper, d)
 			}

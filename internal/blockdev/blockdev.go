@@ -1,7 +1,6 @@
-// Package blockdev models the storage path of the paper's testbed: a SATA3
-// SSD on the ARM server and a 4x500GB 7200RPM RAID5 array on the x86 server
-// (§III), virtualized with virtio-blk (cache=none) under KVM and the
-// in-kernel blkback under Xen.
+// Package blockdev models the storage path of the paper's testbed: the ARM
+// server's SATA3 SSD (§III), virtualized with virtio-blk (cache=none) under
+// KVM and the in-kernel blkback under Xen.
 //
 // Block I/O is not part of Figure 4, but the paper's configuration section
 // fixes these backends, and the storage path exercises the same I/O-model
@@ -28,7 +27,7 @@ type Disk struct {
 	eng *sim.Engine
 	res *sim.Resource
 	// FixedLatency is the per-request access cost (SSD: ~80 µs flash
-	// read; RAID5 HD: ~6 ms average seek+rotation), in cycles.
+	// read), in cycles.
 	FixedLatency sim.Time
 	// CyclesPerByte is the media transfer rate.
 	CyclesPerByte float64
@@ -50,9 +49,6 @@ type DiskSpec struct {
 
 // SSDSpec is the ARM server's 120 GB SATA3 SSD.
 func SSDSpec() DiskSpec { return DiskSpec{FixedLatencyUs: 80, MBPerSec: 450} }
-
-// RAIDSpec is the x86 server's 4x500 GB 7200 RPM SATA RAID5 array.
-func RAIDSpec() DiskSpec { return DiskSpec{FixedLatencyUs: 6000, MBPerSec: 300} }
 
 // NewDisk builds a disk on eng with the given spec at freqMHz.
 func NewDisk(eng *sim.Engine, name string, spec DiskSpec, freqMHz int) *Disk {

@@ -45,12 +45,6 @@ func TestDiskQueuesRequests(t *testing.T) {
 	}
 }
 
-func TestRAIDIsSlowerThanSSD(t *testing.T) {
-	if RAIDSpec().FixedLatencyUs <= SSDSpec().FixedLatencyUs {
-		t.Fatal("the r320's RAID5 HDs must have higher access latency than the m400's SSD")
-	}
-}
-
 func TestVirtBlockBenchmarkOrdering(t *testing.T) {
 	cfg := DefaultBenchConfig()
 	cfg.Requests = 100

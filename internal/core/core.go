@@ -123,14 +123,3 @@ func ByID(id string) *Experiment {
 	e := Experiments()[i]
 	return &e
 }
-
-// PaperIDs lists the IDs that correspond to the paper's own artifacts.
-func PaperIDs() []string {
-	var out []string
-	for _, e := range Experiments() {
-		if e.Kind == PaperArtifact || e.Kind == InText || e.Kind == Projection {
-			out = append(out, e.ID)
-		}
-	}
-	return out
-}

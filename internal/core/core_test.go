@@ -9,8 +9,10 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 	want := map[string]bool{"T1": true, "T2": true, "T3": true, "T4": true,
 		"T5": true, "F4": true, "X1": true, "F5": true}
 	got := map[string]bool{}
-	for _, id := range PaperIDs() {
-		got[id] = true
+	for _, e := range Experiments() {
+		if e.Kind == PaperArtifact || e.Kind == InText || e.Kind == Projection {
+			got[e.ID] = true
+		}
 	}
 	for id := range want {
 		if !got[id] {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // renderAll flattens reports the way armvirt-report's default path does, so
@@ -131,5 +132,26 @@ func BenchmarkExperiment(b *testing.B) {
 				benchResult = e.Run()
 			}
 		})
+	}
+}
+
+// TestRunAllLeavesNoGoroutines: the engines inside every experiment end
+// the procs they leave parked, so repeated RunAll passes (a long-lived
+// server's cold runs) keep runtime.NumGoroutine at its baseline instead
+// of accumulating suspended coroutines.
+func TestRunAllLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for pass := 0; pass < 2; pass++ {
+		RunAll(context.Background(), 1)
+	}
+	// The RunAll worker signals the WaitGroup before its goroutine is
+	// gone, so give the scheduler a moment to retire it.
+	got := runtime.NumGoroutine()
+	for i := 0; i < 100 && got > base; i++ {
+		time.Sleep(time.Millisecond)
+		got = runtime.NumGoroutine()
+	}
+	if got > base {
+		t.Fatalf("NumGoroutine = %d after two RunAll passes, want at most the baseline %d", got, base)
 	}
 }

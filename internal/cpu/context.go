@@ -189,17 +189,6 @@ func (p *PCPU) EnterHostKernel() {
 	}
 }
 
-// HostKernelMode returns the mode the host kernel runs in on this CPU.
-func (p *PCPU) HostKernelMode() Mode {
-	if p.arch == X86 {
-		return X86RootKernel
-	}
-	if p.vhe {
-		return EL2
-	}
-	return EL1
-}
-
 // RequireGuestRunnable panics unless the CPU state is consistent with
 // executing guest ctx: guest kernel mode, Stage-2 on, traps armed, and the
 // guest's state resident in every class the architecture swaps.

@@ -135,24 +135,6 @@ func (cm *CostModel) MicrosToCycles(us float64) Cycles {
 	return Cycles(us * float64(cm.FreqMHz))
 }
 
-// SaveAll returns the summed save cost of the given classes.
-func (cm *CostModel) SaveAll(classes ...RegClass) Cycles {
-	var total Cycles
-	for _, c := range classes {
-		total += cm.Class[c].Save
-	}
-	return total
-}
-
-// RestoreAll returns the summed restore cost of the given classes.
-func (cm *CostModel) RestoreAll(classes ...RegClass) Cycles {
-	var total Cycles
-	for _, c := range classes {
-		total += cm.Class[c].Restore
-	}
-	return total
-}
-
 // SetClass sets the save/restore cost of one register class.
 func (cm *CostModel) SetClass(c RegClass, save, restore Cycles) {
 	cm.Class[c] = SaveRestore{Save: save, Restore: restore}

@@ -136,12 +136,6 @@ func (c RegClass) String() string {
 	return fmt.Sprintf("RegClass(%d)", int(c))
 }
 
-// ARMClasses lists the register classes that exist on ARM, in the order the
-// paper's Table III presents them.
-func ARMClasses() []RegClass {
-	return []RegClass{GP, FP, EL1Sys, VGIC, Timer, EL2Config, EL2VM}
-}
-
 // Cycles is a cycle count used for costs (distinct from sim.Time to keep
 // cost tables free of simulator imports; hypervisors convert).
 type Cycles int64

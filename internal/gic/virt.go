@@ -197,14 +197,6 @@ func (v *VirtualIface) LoadImage(img Image) {
 	v.overflow = append(v.overflow[:0], img.Overflow...)
 }
 
-// Clear resets the interface (used when tearing down a VM).
-func (v *VirtualIface) Clear() {
-	for i := range v.lrs {
-		v.lrs[i] = ListRegister{}
-	}
-	v.overflow = nil
-}
-
 // HasPendingOrActive reports whether any interrupt is in flight, including
 // spilled ones.
 func (v *VirtualIface) HasPendingOrActive() bool {

@@ -40,14 +40,13 @@ type channel struct {
 }
 
 // EvtchnTable is the per-domain event channel state Xen maintains: port
-// allocation, interdomain binding, and the pending/mask bitmaps whose scan
-// is the guest-side upcall cost (the paper-era 2-level scan is what the
+// allocation, interdomain binding, and the pending bitmap whose scan is
+// the guest-side upcall cost (the paper-era 2-level scan is what the
 // UpcallDispatch constant models).
 type EvtchnTable struct {
 	domid    int
 	channels map[Port]*channel
 	pending  map[Port]bool
-	masked   map[Port]bool
 	nextPort Port
 }
 
@@ -57,7 +56,6 @@ func NewEvtchnTable(domid int) *EvtchnTable {
 		domid:    domid,
 		channels: map[Port]*channel{},
 		pending:  map[Port]bool{},
-		masked:   map[Port]bool{},
 	}
 }
 
@@ -106,22 +104,12 @@ func (t *EvtchnTable) stateOf(p Port) ChannelState {
 	return ChanFree
 }
 
-// Mask suppresses upcalls for a port (the guest's evtchn_mask bit).
-func (t *EvtchnTable) Mask(p Port) { t.masked[p] = true }
-
-// Unmask re-enables a port. Returns true if it was pending (which
-// retriggers an upcall in real Xen).
-func (t *EvtchnTable) Unmask(p Port) bool {
-	delete(t.masked, p)
-	return t.pending[p]
-}
-
-// ScanPending returns the pending, unmasked ports in ascending order and
-// clears their pending bits — the guest upcall's 2-level bitmap scan.
+// ScanPending returns the pending ports in ascending order and clears
+// their pending bits — the guest upcall's 2-level bitmap scan.
 func (t *EvtchnTable) ScanPending() []Port {
 	var out []Port
 	for p := Port(1); p <= t.nextPort; p++ {
-		if t.pending[p] && !t.masked[p] {
+		if t.pending[p] {
 			out = append(out, p)
 			delete(t.pending, p)
 		}
@@ -129,15 +117,8 @@ func (t *EvtchnTable) ScanPending() []Port {
 	return out
 }
 
-// HasPending reports whether any unmasked port is pending.
-func (t *EvtchnTable) HasPending() bool {
-	for p, pend := range t.pending {
-		if pend && !t.masked[p] {
-			return true
-		}
-	}
-	return false
-}
+// HasPending reports whether any port is pending.
+func (t *EvtchnTable) HasPending() bool { return len(t.pending) > 0 }
 
 // State returns a port's lifecycle state.
 func (t *EvtchnTable) State(p Port) ChannelState { return t.stateOf(p) }

@@ -70,28 +70,6 @@ func TestEvtchnSendOnUnboundFails(t *testing.T) {
 	}
 }
 
-func TestEvtchnMasking(t *testing.T) {
-	dom0 := NewEvtchnTable(0)
-	domU := NewEvtchnTable(1)
-	p0 := dom0.AllocUnbound(1)
-	pU, _ := domU.BindInterdomain(dom0, p0)
-
-	dom0.Mask(p0)
-	_, _ = domU.Send(dom0, pU)
-	if dom0.HasPending() {
-		t.Fatal("masked port must not report pending")
-	}
-	if len(dom0.ScanPending()) != 0 {
-		t.Fatal("masked port must not scan")
-	}
-	if !dom0.Unmask(p0) {
-		t.Fatal("unmask should report the withheld event")
-	}
-	if scanned := dom0.ScanPending(); len(scanned) != 1 {
-		t.Fatalf("post-unmask scan = %v", scanned)
-	}
-}
-
 func TestScanOrderAscending(t *testing.T) {
 	dom0 := NewEvtchnTable(0)
 	domU := NewEvtchnTable(1)
@@ -117,7 +95,7 @@ func TestScanOrderAscending(t *testing.T) {
 }
 
 // Property: events are never lost or duplicated — every send is observed
-// by exactly one subsequent scan (with no masking).
+// by exactly one subsequent scan.
 func TestEvtchnDeliveryProperty(t *testing.T) {
 	prop := func(seed int64, ops uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

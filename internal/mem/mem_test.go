@@ -206,9 +206,9 @@ func TestTLBVMIDTaggingAndInvalidate(t *testing.T) {
 	if e1.PA == e2.PA {
 		t.Fatal("VMID tagging broken")
 	}
-	tlb.InvalidateVMID(1)
+	tlb.InvalidatePage(1, 0x1000)
 	if _, ok := tlb.Lookup(1, 0x1000); ok {
-		t.Fatal("VMID 1 should be flushed")
+		t.Fatal("VMID 1's page should be flushed")
 	}
 	if _, ok := tlb.Lookup(2, 0x1000); !ok {
 		t.Fatal("VMID 2 should survive")

@@ -86,19 +86,6 @@ func (t *TLB) InvalidatePage(vmid int, ipa IPA) {
 	}
 }
 
-// InvalidateVMID drops all translations for one VM (TLBI VMALLS12E1).
-func (t *TLB) InvalidateVMID(vmid int) {
-	kept := t.order[:0]
-	for _, k := range t.order {
-		if k.vmid == vmid {
-			delete(t.entries, k)
-		} else {
-			kept = append(kept, k)
-		}
-	}
-	t.order = kept
-}
-
 // Len returns the number of cached translations.
 func (t *TLB) Len() int { return len(t.entries) }
 

@@ -64,15 +64,8 @@ func (w *Wire) Send(pk *vio.Packet) {
 // Delivered returns cumulative packets and bytes that reached the far end.
 func (w *Wire) Delivered() (packets, bytes int64) { return w.delivered, w.bytes }
 
-// SerializationTime returns the wire occupancy of an n-byte frame.
-func (w *Wire) SerializationTime(n int) sim.Time {
-	return sim.Time(float64(n) * w.cyclesPerByte)
-}
-
-// NIC is the server's network adapter: received frames are queued for the
-// driver and an interrupt is raised, with optional coalescing (NAPI-style:
-// while the driver has not drained the queue, further frames do not raise
-// further interrupts).
+// NIC is the server's network adapter: each received frame is queued for
+// the driver and raises an interrupt.
 type NIC struct {
 	m *hw.Machine
 	// RxQueue holds frames awaiting the driver.
@@ -80,11 +73,7 @@ type NIC struct {
 	// IRQ is the NIC's interrupt line; Target the CPU it is routed to.
 	IRQ    gic.IRQ
 	Target int
-	// Coalesce suppresses interrupts while the driver is processing.
-	Coalesce bool
-	// armed is false while interrupts are suppressed.
-	armed bool
-	irqs  int64
+	irqs   int64
 }
 
 // NewNIC creates a NIC on machine m with its interrupt routed to target.
@@ -94,41 +83,18 @@ func NewNIC(m *hw.Machine, irq gic.IRQ, target int) *NIC {
 		RxQueue: sim.NewQueue[*vio.Packet](m.Eng, "nic.rx"),
 		IRQ:     irq,
 		Target:  target,
-		armed:   true,
 	}
 }
 
 // Receive is called by the wire side when a frame arrives: DMA it into the
-// receive queue and raise the interrupt if armed.
+// receive queue and raise the interrupt.
 func (n *NIC) Receive(pk *vio.Packet) {
 	n.RxQueue.Send(pk)
-	if n.armed {
-		if n.Coalesce {
-			n.armed = false
-		}
-		n.irqs++
-		now := n.m.Eng.Now()
-		n.m.Rec.Emit(now, obs.IOKick, n.Target, "", -1, "nic-irq", int64(n.IRQ))
-		n.m.Tel.Count(now, -1, telemetry.CtrNICIRQ, 1)
-		n.m.RaiseDeviceIRQ(n.IRQ, n.Target)
-	}
-}
-
-// Rearm re-enables interrupts after the driver drains the queue (NAPI
-// completion). If frames arrived meanwhile, a new interrupt fires
-// immediately.
-func (n *NIC) Rearm() {
-	n.armed = true
-	if n.RxQueue.Len() > 0 {
-		if n.Coalesce {
-			n.armed = false
-		}
-		n.irqs++
-		now := n.m.Eng.Now()
-		n.m.Rec.Emit(now, obs.IOKick, n.Target, "", -1, "nic-irq", int64(n.IRQ))
-		n.m.Tel.Count(now, -1, telemetry.CtrNICIRQ, 1)
-		n.m.RaiseDeviceIRQ(n.IRQ, n.Target)
-	}
+	n.irqs++
+	now := n.m.Eng.Now()
+	n.m.Rec.Emit(now, obs.IOKick, n.Target, "", -1, "nic-irq", int64(n.IRQ))
+	n.m.Tel.Count(now, -1, telemetry.CtrNICIRQ, 1)
+	n.m.RaiseDeviceIRQ(n.IRQ, n.Target)
 }
 
 // IRQCount returns how many interrupts the NIC has raised.

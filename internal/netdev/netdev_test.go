@@ -34,41 +34,6 @@ func TestWireSerializationAndPropagation(t *testing.T) {
 	}
 }
 
-func TestWireSerializationTime(t *testing.T) {
-	eng := sim.NewEngine()
-	w := NewWire(eng, "w", 10, 2400, 0)
-	if got := w.SerializationTime(1500); got != 2880 {
-		t.Fatalf("1500B at 10G/2.4GHz = %d cycles, want 2880", got)
-	}
-}
-
-func TestNICInterruptAndCoalescing(t *testing.T) {
-	m := platform.ARMMachine()
-	nic := NewNIC(m, gic.IRQ(68), 4)
-	nic.Coalesce = true
-	nic.Receive(&vio.Packet{Seq: 1, Bytes: 64})
-	nic.Receive(&vio.Packet{Seq: 2, Bytes: 64})
-	nic.Receive(&vio.Packet{Seq: 3, Bytes: 64})
-	if nic.IRQCount() != 1 {
-		t.Fatalf("irqs = %d, want 1 (coalesced)", nic.IRQCount())
-	}
-	if nic.RxQueue.Len() != 3 {
-		t.Fatalf("rx queue = %d", nic.RxQueue.Len())
-	}
-	// Drain and rearm with packets still queued: fires again.
-	for nic.RxQueue.Len() > 1 {
-		nic.RxQueue.TryRecv()
-	}
-	nic.Rearm()
-	if nic.IRQCount() != 2 {
-		t.Fatalf("irqs = %d after rearm with backlog, want 2", nic.IRQCount())
-	}
-	m.Eng.Run() // drain the delivery events
-	if m.CPUs[4].IRQ.Len() != 2 {
-		t.Fatalf("CPU4 saw %d IRQs", m.CPUs[4].IRQ.Len())
-	}
-}
-
 func TestNICWithoutCoalescingFiresPerPacket(t *testing.T) {
 	m := platform.ARMMachine()
 	nic := NewNIC(m, gic.IRQ(68), 0)
@@ -77,6 +42,13 @@ func TestNICWithoutCoalescingFiresPerPacket(t *testing.T) {
 	}
 	if nic.IRQCount() != 4 {
 		t.Fatalf("irqs = %d, want 4", nic.IRQCount())
+	}
+	if nic.RxQueue.Len() != 4 {
+		t.Fatalf("rx queue = %d, want 4", nic.RxQueue.Len())
+	}
+	m.Eng.Run() // drain the delivery events
+	if m.CPUs[0].IRQ.Len() != 4 {
+		t.Fatalf("CPU0 saw %d IRQs, want 4", m.CPUs[0].IRQ.Len())
 	}
 }
 

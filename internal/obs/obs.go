@@ -285,15 +285,3 @@ func (r *Recorder) Events() []Event {
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
-
-// Reset clears all rings and counters while keeping capacities.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	for i, rg := range r.rings {
-		r.rings[i] = newRing(rg.capacity)
-	}
-	r.seq = 0
-	r.counts = [numKinds]int64{}
-}

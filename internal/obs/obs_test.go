@@ -23,8 +23,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	if r.NCPU() != 0 {
 		t.Fatalf("nil recorder NCPU = %d", r.NCPU())
 	}
-	r.Reset() // must not panic
-
 	s := Summarize(r)
 	if s.Exits() != 0 || s.Hypercalls() != 0 || len(s.Reasons) != 0 {
 		t.Fatalf("summary of nil recorder not empty: %+v", s)
@@ -79,19 +77,6 @@ func TestRingOverflowDropsOldest(t *testing.T) {
 	}
 }
 
-func TestRecorderReset(t *testing.T) {
-	r := NewRecorder(1, 4)
-	r.Emit(1, GuestExit, 0, "vm", 0, "wfi", 0)
-	r.Reset()
-	if r.Total() != 0 || r.Len() != 0 || r.Dropped() != 0 {
-		t.Fatalf("reset left state: total=%d len=%d", r.Total(), r.Len())
-	}
-	r.Emit(2, GuestExit, 0, "vm", 0, "wfi", 0)
-	if r.Events()[0].Seq != 1 {
-		t.Fatalf("Seq not restarted after Reset: %d", r.Events()[0].Seq)
-	}
-}
-
 // fixedRing is the preallocated ring the on-demand ring replaced, kept as
 // the reference TestRingGrowsLikeFixedRing compares against.
 type fixedRing struct {
@@ -121,8 +106,8 @@ func (f *fixedRing) events() []Event {
 
 // TestRingGrowsLikeFixedRing: a ring that allocates on demand retains,
 // wraps and drops exactly as a preallocated ring of the same capacity,
-// after every push, and never grows past its capacity. Reset keeps the
-// capacity.
+// after every push, and never grows past its capacity, also behind a
+// recorder.
 func TestRingGrowsLikeFixedRing(t *testing.T) {
 	for _, capacity := range []int{1, 3, 8, 9, 100} {
 		r, ref := newRing(capacity), &fixedRing{buf: make([]Event, capacity)}
@@ -141,14 +126,11 @@ func TestRingGrowsLikeFixedRing(t *testing.T) {
 	}
 
 	rec := NewRecorder(2, 4)
-	for round := 0; round < 2; round++ {
-		for i := 0; i < 10; i++ {
-			rec.Emit(sim.Time(i), VirqInject, 1, "vm", 0, "", int64(i))
-		}
-		if rec.Len() != 4 || rec.Dropped() != 6 {
-			t.Fatalf("round %d: len=%d dropped=%d, want 4/6", round, rec.Len(), rec.Dropped())
-		}
-		rec.Reset()
+	for i := 0; i < 10; i++ {
+		rec.Emit(sim.Time(i), VirqInject, 1, "vm", 0, "", int64(i))
+	}
+	if rec.Len() != 4 || rec.Dropped() != 6 {
+		t.Fatalf("len=%d dropped=%d, want 4/6", rec.Len(), rec.Dropped())
 	}
 }
 

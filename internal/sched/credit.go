@@ -1,10 +1,5 @@
 package sched
 
-import (
-	"fmt"
-	"sort"
-)
-
 // CreditState is a VCPU's standing in the credit scheduler.
 type CreditState int
 
@@ -118,46 +113,4 @@ func (s *CreditScheduler) PickNext() *CreditVCPU {
 // Burn charges a VCPU for time consumed (in credit units).
 func (s *CreditScheduler) Burn(v *CreditVCPU, credits int) {
 	v.credits -= credits
-}
-
-// Shares runs periods full accounting periods of quantum-sized slices and
-// returns each VCPU's achieved CPU share — the fairness property the
-// scheduler exists to provide.
-func (s *CreditScheduler) Shares(periods, slicesPerPeriod int) map[string]float64 {
-	run := map[string]int{}
-	total := 0
-	for p := 0; p < periods; p++ {
-		s.Refill()
-		for i := 0; i < slicesPerPeriod; i++ {
-			v := s.PickNext()
-			if v == nil {
-				continue
-			}
-			s.Burn(v, s.CreditsPerPeriod/slicesPerPeriod)
-			run[v.Name]++
-			total++
-		}
-	}
-	out := map[string]float64{}
-	for name, n := range run {
-		out[name] = float64(n) / float64(total)
-	}
-	return out
-}
-
-// Describe lists the VCPUs with their balances, for diagnostics.
-func (s *CreditScheduler) Describe() string {
-	names := make([]string, 0, len(s.vcpus))
-	byName := map[string]*CreditVCPU{}
-	for _, v := range s.vcpus {
-		names = append(names, v.Name)
-		byName[v.Name] = v
-	}
-	sort.Strings(names)
-	out := ""
-	for _, n := range names {
-		v := byName[n]
-		out += fmt.Sprintf("%s w=%d credits=%d %v\n", v.Name, v.Weight, v.credits, v.State())
-	}
-	return out
 }

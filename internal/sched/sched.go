@@ -56,19 +56,6 @@ func (l Layout) Validate() error {
 	return check(l.Backend, "backend")
 }
 
-// GuestPin returns the pin list for an n-VCPU VM.
-func (l Layout) GuestPin(n int) []int {
-	if n > len(l.Guest) {
-		panic(fmt.Sprintf("sched: %d VCPUs exceed the %d-CPU guest set", n, len(l.Guest)))
-	}
-	return append([]int(nil), l.Guest[:n]...)
-}
-
-// BackendCPU returns the i-th backend CPU.
-func (l Layout) BackendCPU(i int) int {
-	return l.Backend[i%len(l.Backend)]
-}
-
 // Dispatcher assigns divisible work to the least-loaded of a set of
 // execution resources, deterministically (ties go to the lowest index). It
 // is the idealized balancer the capacity models assume and the serving

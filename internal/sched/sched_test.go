@@ -31,31 +31,6 @@ func TestValidateCatchesBadLayouts(t *testing.T) {
 	}
 }
 
-func TestGuestPin(t *testing.T) {
-	l := PaperLayout()
-	pin := l.GuestPin(2)
-	if len(pin) != 2 || pin[0] != 0 || pin[1] != 1 {
-		t.Fatalf("pin = %v", pin)
-	}
-	pin[0] = 99 // must not alias the layout
-	if l.Guest[0] != 0 {
-		t.Fatal("GuestPin aliases the layout")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oversubscription should panic")
-		}
-	}()
-	l.GuestPin(5)
-}
-
-func TestBackendCPUWraps(t *testing.T) {
-	l := PaperLayout()
-	if l.BackendCPU(0) != 4 || l.BackendCPU(4) != 4 || l.BackendCPU(5) != 5 {
-		t.Fatal("backend CPU selection wrong")
-	}
-}
-
 func TestDispatcherBalances(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDispatcher(eng, "cpu", 4)

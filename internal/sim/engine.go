@@ -21,22 +21,21 @@
 // (partition.go); single-partition engines never touch that machinery.
 //
 // Processes advance time with Proc.Sleep, exchange data through Queue, and
-// coordinate through Cond and Resource. Plain callbacks can be scheduled
-// with Engine.At; callbacks run inline in the engine and must not block.
+// serialize on Resource. Plain callbacks can be scheduled with Engine.At;
+// callbacks run inline in the engine and must not block.
 //
-// Scheduling comes in two forms. The context forms (Proc.At, Proc.After,
-// Proc.SendTo, Proc.Go) act on the partition the process lives on, and a
-// callback routed to a partition reads that partition's clock with
-// PartNow. The ambient forms (Engine.At, After, SendTo, Go, GoAt, Now,
-// Stop) resolve the partition without any lookup: on a single-partition
-// engine, or outside a run, they act on partition 0; during a run they
-// act on the partition whose window the Run caller is dispatching.
+// Scheduling acts on one partition. Proc.SendTo sends from the partition
+// the process lives on, and a callback routed to a partition reads that
+// partition's clock with PartNow. The ambient forms (Engine.At, After,
+// SendTo, Go, Now) resolve the partition without any lookup: on a
+// single-partition engine, or outside a run, they act on partition 0;
+// during a run they act on the partition whose window the Run caller is
+// dispatching.
 package sim
 
 import (
 	"fmt"
 	"iter"
-	"sort"
 )
 
 // Time is a point in virtual time, measured in CPU cycles. All PCPUs in a
@@ -45,14 +44,12 @@ import (
 type Time int64
 
 // event is a scheduled engine action: either a plain callback (fn non-nil)
-// or the one-shot resumption of a parked process (w non-nil, gen holding
-// the waiter generation the wakeup was armed for). Events are stored by
-// value in the heap, so steady-state scheduling performs no allocation.
+// or the resumption of parked process p. Events are stored by value in the
+// heap, so steady-state scheduling performs no allocation.
 type event struct {
 	at  Time
 	seq uint64
-	gen uint64
-	w   *waiter
+	p   *Proc
 	fn  func()
 }
 
@@ -127,10 +124,9 @@ type shard struct {
 	seq     uint64
 	queue   eventHeap
 	running *Proc // process last resumed in this dispatch (nil = none yet)
-	limit   Time  // inclusive dispatch bound for the current window / RunUntil
+	limit   Time  // inclusive dispatch bound for the current window
 	hasLim  bool
-	stopped bool
-	procs   map[*Proc]struct{}
+	procs   map[*Proc]struct{} // live processes, ended by Run if left parked
 
 	// Cross-partition outbox: messages produced by this shard during a
 	// quantum window, drained by the coordinator at the barrier. sendSeq
@@ -179,10 +175,9 @@ type xmsg struct {
 // windows, each partition's dispatched in turn, separated by barriers
 // that exchange cross-partition messages in a deterministic order.
 //
-// The ambient methods (At, After, SendTo, Go, GoAt, Now, Stop) act on
-// partition 0 of a single-partition engine or outside a run, and on the
-// partition whose window is being dispatched during one (see the package
-// comment).
+// The ambient methods (At, After, SendTo, Go, Now) act on partition 0 of
+// a single-partition engine or outside a run, and on the partition whose
+// window is being dispatched during one (see the package comment).
 type Engine struct {
 	root  shard
 	parts []*shard // parts[0] == &root; more after AddPartition
@@ -195,10 +190,8 @@ type Engine struct {
 	// inline is the shard whose window Run is dispatching (multi mode
 	// only). Ambient calls during a run resolve to it.
 	inline *shard
-	// stopAll requests a full stop at the next quantum barrier.
-	stopAll bool
-	// inRun is true while Run/RunUntil is executing (multi mode uses it
-	// to distinguish setup-time SendTo/GoOn from run-time calls).
+	// inRun is true while Run is executing (multi mode uses it to
+	// distinguish setup-time SendTo/GoOn from run-time calls).
 	inRun bool
 
 	procTap func(t Time, what, name string)
@@ -298,18 +291,31 @@ func (e *Engine) After(d Time, fn func()) {
 	s.at(s.now+d, fn)
 }
 
-// wakeAt schedules the one-shot resumption of w's process at absolute time
-// t (clamped to now). The registration is stored by value in the event
-// heap and captures w's current generation, so the Sleep/Yield path
-// allocates nothing and stale wakeups are no-ops. Wakeups are always
-// partition-local: w's process lives on this shard.
-func (s *shard) wakeAt(t Time, w *waiter) {
+// wakeAt schedules the resumption of parked process p at absolute time t
+// (clamped to now). The wakeup is stored by value in the event heap, so
+// the Sleep/Yield path allocates nothing. A park has exactly one pending
+// wakeup, and it is always partition-local: p lives on this shard.
+func (s *shard) wakeAt(t Time, p *Proc) {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	s.queue.push(event{at: t, seq: s.seq, w: w, gen: w.gen})
+	s.queue.push(event{at: t, seq: s.seq, p: p})
 	s.noteHeapDepth()
+}
+
+// wake schedules the resumption of p, taken off a queue or resource wait
+// list, at the current time of p's own partition. Wait lists are
+// partition-local (see partition.go): during a run p's shard must be the
+// one whose window is executing the wake, and a wake from another
+// partition panics.
+func (e *Engine) wake(p *Proc) {
+	s := p.sh
+	if e.multi && e.inRun && s != e.inline {
+		panic(fmt.Sprintf("sim: partition %d wakes %s parked on partition %d; cross-partition wakes must go through SendTo",
+			e.inline.id, p.name, s.id))
+	}
+	s.wakeAt(s.now, p)
 }
 
 // noteHeapDepth tracks the event heap's high-water mark after a push.
@@ -319,23 +325,14 @@ func (s *shard) noteHeapDepth() {
 	}
 }
 
-// Stop makes Run return after the current event completes (on a
-// multi-partition engine: after the current quantum window completes, so
-// the stop point is deterministic). Pending events are retained; Run may
-// be called again to continue.
-func (e *Engine) Stop() {
-	s := e.cur()
-	s.stopped = true
-	e.stopAll = true
-}
-
 // loop dispatches pending events until a process wakes, and returns it,
-// or until the shard goes idle (queue empty, Stop called, or limit
-// reached), and returns nil. Waking a process other than the one last
-// resumed counts as a switch.
+// or until the shard goes idle (queue empty or limit reached), and returns
+// nil. Waking a process other than the one last resumed counts as a
+// switch. A wakeup for a process that is not parked is a second wakeup of
+// one park, which the engine never arms, so it panics.
 func (s *shard) loop() *Proc {
 	for {
-		if len(s.queue) == 0 || s.stopped {
+		if len(s.queue) == 0 {
 			return nil
 		}
 		if s.hasLim && s.queue[0].at > s.limit {
@@ -351,12 +348,10 @@ func (s *shard) loop() *Proc {
 			ev.fn()
 			continue
 		}
-		w := ev.w
-		if w.gen != ev.gen {
-			continue // stale wakeup: another path already woke the process
+		p := ev.p
+		if !p.parked {
+			panic(fmt.Sprintf("sim: wakeup at %d for %s, which is not parked", ev.at, p.name))
 		}
-		w.gen++
-		p := w.p
 		p.parked = false
 		if p != s.running {
 			s.running = p
@@ -366,45 +361,37 @@ func (s *shard) loop() *Proc {
 	}
 }
 
-// Run processes events until the queue is empty or Stop is called. Parked
-// processes whose wakeups are never scheduled are simply abandoned, their
-// coroutines left suspended at no cost to determinism. On a
-// multi-partition engine Run executes the quantum algorithm (see
-// partition.go). A panic inside a process body is re-raised on the
-// goroutine that called Run.
+// Run processes events until every partition's queue is empty. A panic
+// inside a process body is re-raised on the goroutine that called Run. On
+// a multi-partition engine Run executes the quantum algorithm (see
+// partition.go).
+//
+// A process still parked when the queues drain waits for something no
+// pending event will do, so Run ends its coroutine: it unwinds from its
+// park, running its deferred calls but emitting no "exit" to the process
+// tap.
 func (e *Engine) Run() {
-	if e.multi {
-		e.runQuanta(0, false)
-		return
-	}
-	e.runRoot(0, false)
-}
-
-// RunUntil processes events with timestamps <= deadline, then sets the clock
-// to deadline if it has not already passed it. Like Run, it panics if a
-// dispatched event would move time backwards.
-func (e *Engine) RunUntil(deadline Time) {
-	if e.multi {
-		e.runQuanta(deadline, true)
-		for _, s := range e.parts {
-			if s.now < deadline {
-				s.now = deadline
-			}
-		}
-		return
-	}
-	e.runRoot(deadline, true)
-	if e.root.now < deadline {
-		e.root.now = deadline
-	}
-}
-
-// runRoot is the single-partition Run/RunUntil body.
-func (e *Engine) runRoot(deadline Time, hasDeadline bool) {
 	e.inRun = true
-	defer func() { e.inRun = false }()
-	e.root.stopped = false
-	e.root.dispatch(deadline, hasDeadline)
+	defer e.endRun()
+	if e.multi {
+		e.runQuanta()
+		return
+	}
+	e.root.dispatch(0, false)
+}
+
+// endRun leaves the run and ends the coroutine of every process it left
+// parked. An ended process counts as not parked, so a later wakeup of it
+// panics in loop instead of resuming nothing.
+func (e *Engine) endRun() {
+	e.inRun, e.inline = false, nil
+	for _, s := range e.parts {
+		for p := range s.procs {
+			p.stop()
+			p.parked = false
+		}
+		clear(s.procs)
+	}
 }
 
 // dispatch runs the shard's loop from the calling goroutine, bounded by
@@ -426,52 +413,35 @@ func (s *shard) dispatch(limit Time, hasLim bool) {
 	s.hasLim = false
 }
 
-// ParkedProcs returns the names of processes that are currently parked,
-// across all partitions, sorted; useful for diagnosing stalled simulations
-// in tests.
-func (e *Engine) ParkedProcs() []string {
-	var names []string
-	for _, s := range e.parts {
-		for p := range s.procs {
-			if p.parked {
-				names = append(names, p.name)
-			}
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
 // spawnOn creates the process and its coroutine on shard s, first resumed
 // by the dispatch of its wakeup at time t.
 func (e *Engine) spawnOn(s *shard, t Time, name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, sh: s, name: name}
-	p.w.p = p
+	p := &Proc{eng: e, sh: s, name: name, parked: true}
 	s.procs[p] = struct{}{}
 	s.statSpawned++
-	p.resume, _ = iter.Pull(func(yield func(*Proc) bool) {
+	p.resume, p.stop = iter.Pull(func(yield func(*Proc) bool) {
+		defer func() {
+			if r := recover(); r != nil && r != (ended{}) {
+				panic(r)
+			}
+		}()
 		p.yield = yield
 		s.noteProc("start", p)
 		body(p)
 		s.noteProc("exit", p)
 		delete(s.procs, p)
 	})
-	s.wakeAt(t, &p.w)
+	s.wakeAt(t, p)
 	return p
 }
 
 // Go spawns a new process that begins executing body at the current time,
-// on the partition ambient calls act on (p.Go spawns on p's own). The body
-// runs as a coroutine: it executes only while its partition's dispatcher
-// has resumed it, and gives control back whenever it parks.
+// on the partition ambient calls act on. The body runs as a coroutine: it
+// executes only while its partition's dispatcher has resumed it, and
+// gives control back whenever it parks.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	s := e.cur()
 	return e.spawnOn(s, s.now, name, body)
-}
-
-// GoAt is Go with a deferred start time.
-func (e *Engine) GoAt(t Time, name string, body func(p *Proc)) *Proc {
-	return e.spawnOn(e.cur(), t, name, body)
 }
 
 // Proc is a simulated process. All methods must be called from the process's
@@ -481,53 +451,40 @@ type Proc struct {
 	eng    *Engine
 	sh     *shard
 	name   string
-	w      waiter // reusable wakeup token; armed per park, never reallocated
-	parked bool
+	parked bool // from spawn or park until its one wakeup is dispatched
 
 	// resume runs the coroutine until it parks, returning the process it
 	// yields (nil when the shard went idle); live is false once the body
-	// has returned. yield is the body's side of the same handoff.
+	// has returned. yield is the body's side of the same handoff, and
+	// stop ends a coroutine suspended in yield (see Run).
 	resume func() (next *Proc, live bool)
 	yield  func(*Proc) bool
+	stop   func()
 }
+
+// ended is the panic a parked process unwinds with when Run ends its
+// coroutine; the coroutine wrapper recovers it and nothing else.
+type ended struct{}
 
 // Name returns the name given at spawn time.
 func (p *Proc) Name() string { return p.name }
 
-// Engine returns the owning engine.
-func (p *Proc) Engine() *Engine { return p.eng }
-
-// Part returns the partition the process lives on (0 on single-partition
-// engines).
-func (p *Proc) Part() PartID { return p.sh.id }
-
 // Now returns the current virtual time of the process's partition.
 func (p *Proc) Now() Time { return p.sh.now }
-
-// At schedules fn at absolute time t (clamped to now) on p's partition:
-// the context form of Engine.At, exact in every window.
-func (p *Proc) At(t Time, fn func()) { p.sh.at(t, fn) }
-
-// After schedules fn d cycles from now on p's partition.
-func (p *Proc) After(d Time, fn func()) { p.sh.at(p.sh.now+d, fn) }
 
 // SendTo is Engine.SendTo sent from p's partition, with p's clock and
 // outbox.
 func (p *Proc) SendTo(part PartID, d Time, fn func()) { p.eng.sendFrom(p.sh, part, d, fn) }
 
-// Go spawns a process on p's partition, starting at p's current time.
-func (p *Proc) Go(name string, body func(p *Proc)) *Proc {
-	return p.eng.spawnOn(p.sh, p.sh.now, name, body)
-}
-
-// park gives control back to the engine until some event unparks p. The
-// parking coroutine runs the shard loop itself: if the next wakeup is its
-// own it simply returns; otherwise it yields the woken process (nil when
-// the shard goes idle) to the dispatcher and is suspended until resumed.
+// park gives control back to the engine until its one wakeup unparks p.
+// The parking coroutine runs the shard loop itself: if the next wakeup is
+// its own it simply returns; otherwise it yields the woken process (nil
+// when the shard goes idle) to the dispatcher and is suspended until
+// resumed. Resumed by Run's stop instead, it unwinds with ended.
 func (p *Proc) park() {
 	p.parked = true
-	if next := p.sh.loop(); next != p {
-		p.yield(next)
+	if next := p.sh.loop(); next != p && !p.yield(next) {
+		panic(ended{})
 	}
 }
 
@@ -538,54 +495,13 @@ func (p *Proc) Sleep(d Time) {
 	if d <= 0 {
 		return
 	}
-	p.sh.wakeAt(p.sh.now+d, &p.w)
+	p.sh.wakeAt(p.sh.now+d, p)
 	p.park()
 }
 
 // Yield reschedules the process at the current time, letting any other
 // events queued for this instant run first.
 func (p *Proc) Yield() {
-	p.sh.wakeAt(p.sh.now, &p.w)
+	p.sh.wakeAt(p.sh.now, p)
 	p.park()
-}
-
-// waiter is a one-shot wakeup token. Each Proc embeds a single waiter that
-// is reused across parks: every registration (an event-heap entry or a
-// queue/cond/resource wait list entry) captures the generation it was
-// armed for, and consuming a wakeup bumps the generation. Exactly one of
-// the paths racing to wake a parked process finds a current generation;
-// the rest become stale no-ops. All paths run inside the waiter's own
-// partition loop.
-type waiter struct {
-	p   *Proc
-	gen uint64
-}
-
-// waiterRef is a wait-list registration: the waiter plus the generation it
-// was armed for.
-type waiterRef struct {
-	w   *waiter
-	gen uint64
-}
-
-// ref captures p's waiter at its current generation for a wait list.
-func (p *Proc) ref() waiterRef { return waiterRef{w: &p.w, gen: p.w.gen} }
-
-// stale reports whether the registration has already been consumed.
-func (r waiterRef) stale() bool { return r.w.gen != r.gen }
-
-// consume claims the registration (making every sibling registration
-// stale) and schedules the resumption of the waiting process at the
-// current time, on the process's own partition. Callers must check
-// stale() first. Queues, conds, and resources are partition-local (see
-// partition.go): during a run the waiter's shard must be the one whose
-// window is executing the wake, and a wake from another partition panics.
-func (r waiterRef) consume(e *Engine) {
-	s := r.w.p.sh
-	if e.multi && e.inRun && s != e.inline {
-		panic(fmt.Sprintf("sim: partition %d wakes %s parked on partition %d; cross-partition wakes must go through SendTo",
-			e.inline.id, r.w.p.name, s.id))
-	}
-	r.w.gen++
-	s.wakeAt(s.now, r.w)
 }

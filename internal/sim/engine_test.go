@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -149,86 +151,15 @@ func TestQueueSendAfterModelsPropagation(t *testing.T) {
 	}
 }
 
-func TestQueueRecvTimeoutExpires(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e, "q")
-	var ok bool
-	var at Time
-	e.Go("recv", func(p *Proc) {
-		_, ok = q.RecvTimeout(p, 100)
-		at = p.Now()
-	})
-	e.Run()
-	if ok {
-		t.Fatal("expected timeout")
-	}
-	if at != 100 {
-		t.Fatalf("timed out at %d, want 100", at)
-	}
-}
-
-func TestQueueRecvTimeoutDeliversBeforeDeadline(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e, "q")
-	var ok bool
-	var v int
-	e.Go("recv", func(p *Proc) {
-		v, ok = q.RecvTimeout(p, 100)
-	})
-	e.After(30, func() { q.Send(7) })
-	e.Run()
-	if !ok || v != 7 {
-		t.Fatalf("got (%d,%v), want (7,true)", v, ok)
-	}
-}
-
-func TestQueueStaleWaiterAfterTimeoutDoesNotLoseItems(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e, "q")
-	var timedOut bool
-	var got int
-	e.Go("r1", func(p *Proc) {
-		_, ok := q.RecvTimeout(p, 10)
-		timedOut = !ok
-	})
-	e.Go("r2", func(p *Proc) {
-		p.Sleep(20)
-		got = q.Recv(p)
-	})
-	e.After(30, func() { q.Send(42) })
-	e.Run()
-	if !timedOut {
-		t.Fatal("r1 should have timed out")
-	}
-	if got != 42 {
-		t.Fatalf("r2 got %d, want 42", got)
-	}
-}
-
-func TestCondBroadcastWakesAll(t *testing.T) {
-	e := NewEngine()
-	c := NewCond(e)
-	woke := 0
-	for i := 0; i < 5; i++ {
-		e.Go("w", func(p *Proc) {
-			c.Wait(p)
-			woke++
-		})
-	}
-	e.After(50, c.Broadcast)
-	e.Run()
-	if woke != 5 {
-		t.Fatalf("woke %d, want 5", woke)
-	}
-}
-
 func TestResourceSerializesExec(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "pcpu")
 	var ends []Time
 	for i := 0; i < 3; i++ {
 		e.Go("user", func(p *Proc) {
-			r.Exec(p, 100)
+			r.Acquire(p)
+			p.Sleep(100)
+			r.Release(p)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -256,61 +187,6 @@ func TestResourceReleaseByNonHolderPanics(t *testing.T) {
 	e.Run()
 	if !recovered {
 		t.Fatal("expected panic on Release by non-holder")
-	}
-}
-
-func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	e.At(500, func() { fired = true })
-	e.RunUntil(200)
-	if fired {
-		t.Fatal("event at 500 should not fire by 200")
-	}
-	if e.Now() != 200 {
-		t.Fatalf("now = %d, want 200", e.Now())
-	}
-	e.RunUntil(600)
-	if !fired {
-		t.Fatal("event at 500 should fire by 600")
-	}
-}
-
-func TestStopHaltsRun(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i*10), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-}
-
-func TestGoAtDeferredStart(t *testing.T) {
-	e := NewEngine()
-	var started Time
-	e.GoAt(777, "late", func(p *Proc) { started = p.Now() })
-	e.Run()
-	if started != 777 {
-		t.Fatalf("started at %d, want 777", started)
-	}
-}
-
-func TestParkedProcsReported(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e, "never")
-	e.Go("stuck", func(p *Proc) { q.Recv(p) })
-	e.Run()
-	parked := e.ParkedProcs()
-	if len(parked) != 1 || parked[0] != "stuck" {
-		t.Fatalf("parked = %v, want [stuck]", parked)
 	}
 }
 
@@ -373,8 +249,8 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: a resource never reports two simultaneous holders and total
-// exclusive occupancy equals the sum of exec durations.
+// Property: a resource never has two simultaneous holders and total
+// exclusive occupancy equals the sum of the hold durations.
 func TestResourceExclusionProperty(t *testing.T) {
 	prop := func(seed int64, n uint8) bool {
 		users := int(n%8) + 2
@@ -383,17 +259,20 @@ func TestResourceExclusionProperty(t *testing.T) {
 		r := NewResource(e, "r")
 		var total Time
 		var maxEnd Time
+		held := 0
 		violation := false
 		for i := 0; i < users; i++ {
 			d := Time(rng.Intn(100) + 1)
 			start := Time(rng.Intn(50))
 			total += d
-			e.GoAt(start, "u", func(p *Proc) {
+			e.Go("u", func(p *Proc) {
+				p.Sleep(start)
 				r.Acquire(p)
-				if r.Holder() != p {
+				if held++; held != 1 {
 					violation = true
 				}
 				p.Sleep(d)
+				held--
 				r.Release(p)
 				if p.Now() > maxEnd {
 					maxEnd = p.Now()
@@ -420,46 +299,6 @@ func TestRunPanicsOnTimeRegression(t *testing.T) {
 		}
 	}()
 	e.Run()
-}
-
-func TestRunUntilPanicsOnTimeRegression(t *testing.T) {
-	e := NewEngine()
-	e.root.now = 100
-	e.root.queue.push(event{at: 50, seq: 1, fn: func() {}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on time regression")
-		}
-	}()
-	e.RunUntil(200)
-}
-
-// The reusable per-Proc waiter must stay one-shot per generation: repeated
-// timeouts leave stale wait-list registrations behind, and none of them may
-// steal a later wakeup or lose an item.
-func TestWaiterReuseAcrossRepeatedTimeouts(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e, "q")
-	timeouts := 0
-	var got []int
-	e.Go("recv", func(p *Proc) {
-		for len(got) < 2 {
-			if v, ok := q.RecvTimeout(p, 10); ok {
-				got = append(got, v)
-			} else {
-				timeouts++
-			}
-		}
-	})
-	e.After(35, func() { q.Send(1) })
-	e.After(55, func() { q.Send(2) })
-	e.Run()
-	if timeouts < 3 {
-		t.Fatalf("expected at least 3 timeouts, got %d", timeouts)
-	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("got %v, want [1 2]", got)
-	}
 }
 
 func TestTracerSeesStartAndExit(t *testing.T) {
@@ -511,5 +350,67 @@ func TestFinishedProcsLeaveNoGoroutines(t *testing.T) {
 	}
 	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("NumGoroutine = %d after Run, want at most the baseline %d", got, base)
+	}
+}
+
+// TestRunEndsParkedProcs: procs left parked on a queue when Run drains
+// are ended, so their coroutines leave runtime.NumGoroutine at its
+// baseline. Each unwinds from its park through its deferred calls and
+// reports no "exit" to the process tap.
+func TestRunEndsParkedProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	var exits int
+	e.SetProcTap(func(_ Time, what, _ string) {
+		if what == "exit" {
+			exits++
+		}
+	})
+	q := NewQueue[int](e, "never")
+	const n = 20
+	unwound := 0
+	for i := 0; i < n; i++ {
+		e.Go("stuck", func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Sleep(Time(i))
+			q.Recv(p)
+			t.Error("a proc parked on a queue nothing sends to resumed")
+		})
+	}
+	e.Run()
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("NumGoroutine = %d after Run, want at most the baseline %d", got, base)
+	}
+	if unwound != n || exits != 0 {
+		t.Fatalf("%d of %d procs ran their deferred calls and %d reported exit, want %d and 0", unwound, n, exits, n)
+	}
+}
+
+// TestEndedProcWakePanics: a proc Run ended is not parked, so a later
+// wakeup of it panics instead of silently resuming nothing.
+func TestEndedProcWakePanics(t *testing.T) {
+	e := NewEngine()
+	q := NewQueue[int](e, "late")
+	e.Go("stuck", func(p *Proc) { q.Recv(p) })
+	e.Run()
+	e.At(10, func() { q.Send(1) })
+	if r := runPanic(e); !strings.Contains(fmt.Sprint(r), "stuck, which is not parked") {
+		t.Fatalf("Run panicked with %v, want the not-parked wakeup panic", r)
+	}
+}
+
+// TestSecondWakePanics: a park has exactly one pending wakeup. A second
+// wake of the same park reaches a proc that is no longer parked, and the
+// engine panics rather than resume it out of turn.
+func TestSecondWakePanics(t *testing.T) {
+	e := NewEngine()
+	q := NewQueue[int](e, "q")
+	p := e.Go("recv", func(p *Proc) { q.Recv(p) })
+	e.At(5, func() {
+		q.Send(1) // the one wakeup: the queue pops p off its wait list
+		e.wake(p) // a second wake of the same park
+	})
+	if r := runPanic(e); !strings.Contains(fmt.Sprint(r), "recv, which is not parked") {
+		t.Fatalf("Run panicked with %v, want the not-parked wakeup panic", r)
 	}
 }

@@ -63,31 +63,37 @@ func TestFifoProperty(t *testing.T) {
 }
 
 // TestQueuePingPongAllocatesNothing: once a Send/Recv ping-pong reaches
-// steady state, a round allocates nothing. The queues' backing arrays are
+// steady state, a round allocates nothing, so a 1000-round run allocates
+// exactly what a 100-round run does. The queues' backing arrays are
 // reused as they drain instead of shrinking under each pop.
 func TestQueuePingPongAllocatesNothing(t *testing.T) {
-	e := NewEngine()
-	ping := NewQueue[int](e, "ping")
-	pong := NewQueue[int](e, "pong")
-	e.Go("client", func(p *Proc) {
-		for {
-			ping.Send(1)
-			pong.Recv(p)
+	pingPong := func(rounds int) func() {
+		return func() {
+			e := NewEngine()
+			ping := NewQueue[int](e, "ping")
+			pong := NewQueue[int](e, "pong")
+			e.Go("client", func(p *Proc) {
+				for i := 0; i < rounds; i++ {
+					ping.Send(i)
+					pong.Recv(p)
+				}
+			})
+			e.Go("server", func(p *Proc) {
+				for i := 0; i < rounds; i++ {
+					v := ping.Recv(p)
+					p.Sleep(1)
+					pong.Send(v)
+				}
+			})
+			e.Run()
+			if e.Now() != Time(rounds) {
+				t.Fatalf("%d rounds ended at %d", rounds, e.Now())
+			}
 		}
-	})
-	e.Go("server", func(p *Proc) {
-		for {
-			v := ping.Recv(p)
-			p.Sleep(1)
-			pong.Send(v)
-		}
-	})
-	e.RunUntil(10) // warm up: every array reaches its steady capacity
-	rounds := e.Stats().Events
-	if got := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); got != 0 {
-		t.Fatalf("a ping-pong round allocates %v times, want 0", got)
 	}
-	if e.Stats().Events == rounds {
-		t.Fatal("the ping-pong made no progress")
+	short := testing.AllocsPerRun(20, pingPong(100))
+	long := testing.AllocsPerRun(20, pingPong(1000))
+	if short != long {
+		t.Fatalf("100 rounds allocate %v times and 1000 rounds %v, want equal", short, long)
 	}
 }

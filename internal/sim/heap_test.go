@@ -15,10 +15,11 @@ func evLess(a, b event) bool {
 }
 
 // zeroed reports whether a vacated heap slot was fully cleared — the
-// closure-leak guard: pop must not leave fn (or the waiter pointer) pinned
-// in the backing array. event contains funcs, so compare field-wise.
+// closure-leak guard: pop must not leave fn (or the process pointer)
+// pinned in the backing array. event contains funcs, so compare
+// field-wise.
 func zeroed(ev event) bool {
-	return ev.at == 0 && ev.seq == 0 && ev.gen == 0 && ev.w == nil && ev.fn == nil
+	return ev.at == 0 && ev.seq == 0 && ev.p == nil && ev.fn == nil
 }
 
 // TestEventHeapProperty drives randomized push/pop interleavings against a
@@ -27,6 +28,7 @@ func zeroed(ev event) bool {
 // the reference sort, and every pop zeroes the slot it vacates.
 func TestEventHeapProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
+	woken := &Proc{name: "woken"}
 	for iter := 0; iter < 300; iter++ {
 		var h eventHeap
 		var ref []event // live multiset, unordered
@@ -36,11 +38,11 @@ func TestEventHeapProperty(t *testing.T) {
 		for op := 0; op < steps; op++ {
 			if len(ref) == 0 || rng.Intn(5) < 3 {
 				seq++
-				ev := event{
-					at:  Time(rng.Intn(40)),
-					seq: seq,
-					gen: uint64(rng.Intn(3)),
-					fn:  func() {}, // non-nil so a leaked slot is detectable
+				// Callbacks and wakeups alike, each with a non-nil
+				// pointer so a leaked slot is detectable.
+				ev := event{at: Time(rng.Intn(40)), seq: seq, fn: func() {}}
+				if rng.Intn(2) == 0 {
+					ev.p, ev.fn = woken, nil
 				}
 				h.push(ev)
 				ref = append(ref, ev)

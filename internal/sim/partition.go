@@ -25,15 +25,14 @@
 // dispatcher would need.
 //
 // Locality rule: all cross-partition interaction must go through SendTo
-// (or spawn-time GoOn). Queues, conds, resources, and waiter wakeups are
-// partition-local; waking a waiter parked on another partition panics
-// (see waiterRef.consume).
+// (or spawn-time GoOn). Queues, resources, and process wakeups are
+// partition-local; waking a process parked on another partition panics
+// (see Engine.wake).
 //
 // Partition resolution: nothing here asks a goroutine which partition it
-// runs on. A process carries its shard (Proc.SendTo and the other context
-// forms use it). Before each window it dispatches, the coordinator records
-// the window's shard in Engine.inline, the one field the ambient Engine
-// methods consult.
+// runs on. A process carries its shard (Proc.SendTo uses it). Before each
+// window it dispatches, the coordinator records the window's shard in
+// Engine.inline, the one field the ambient Engine methods consult.
 package sim
 
 import (
@@ -124,17 +123,11 @@ func (e *Engine) sendFrom(src *shard, part PartID, d Time, fn func()) {
 	})
 }
 
-// runQuanta is the multi-partition Run/RunUntil body: lookahead-bounded
-// windows separated by message barriers.
-func (e *Engine) runQuanta(deadline Time, hasDeadline bool) {
+// runQuanta is the multi-partition Run body: lookahead-bounded windows
+// separated by message barriers, until no partition has an event.
+func (e *Engine) runQuanta() {
 	if e.lookahead <= 0 {
 		panic("sim: multi-partition engine requires SetLookahead before Run")
-	}
-	e.inRun = true
-	defer func() { e.inRun, e.inline = false, nil }()
-	e.stopAll = false
-	for _, s := range e.parts {
-		s.stopped = false
 	}
 	var msgs []xmsg
 	for {
@@ -151,17 +144,11 @@ func (e *Engine) runQuanta(deadline Time, hasDeadline bool) {
 			}
 		}
 		if none {
-			break
-		}
-		if hasDeadline && t > deadline {
-			break
+			return
 		}
 		limit := t + e.lookahead - 1
 		if limit < t { // overflow guard
 			limit = math.MaxInt64
-		}
-		if hasDeadline && limit > deadline {
-			limit = deadline
 		}
 		// Each active shard participates in one window; the gap between
 		// its clock and the window bound is the stall a parallel
@@ -179,9 +166,6 @@ func (e *Engine) runQuanta(deadline Time, hasDeadline bool) {
 			}
 		}
 		msgs = e.drainOutboxes(msgs)
-		if e.stopAll {
-			break
-		}
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // workload — partition-local fiber chatter through queues plus
 // cross-partition SendTo messages at randomized legal delays — and returns
 // its complete observable output: per-partition logs merged in partition
-// order, the engine stats, and the parked-proc listing. The workload is a
-// pure function of the seed, so two runs must return identical values.
-func partitionedRun(t *testing.T, seed int64, deadline Time) ([]string, EngineStats, []string) {
+// order, and the engine stats. The workload is a pure function of the
+// seed, so two runs must return identical values.
+func partitionedRun(t *testing.T, seed int64) ([]string, EngineStats) {
 	t.Helper()
 	const lookahead = 100
 	e := NewEngine()
@@ -30,14 +30,12 @@ func partitionedRun(t *testing.T, seed int64, deadline Time) ([]string, EngineSt
 	for i, id := range parts {
 		id := id
 		li := i
-		// One consumer per partition drains cross-partition messages until
-		// they dry up; it logs every receipt with its local timestamp.
+		// One consumer per partition drains cross-partition messages and
+		// logs every receipt with its local timestamp. Once they dry up
+		// it is left parked, and Run ends it.
 		e.GoOn(id, fmt.Sprintf("consumer%d", i), func(p *Proc) {
 			for {
-				v, ok := inboxes[id].RecvTimeout(p, 4*lookahead)
-				if !ok {
-					return
-				}
+				v := inboxes[id].Recv(p)
 				logs[li] = append(logs[li], fmt.Sprintf("p%d recv %d @%d", li, v, p.Now()))
 			}
 		})
@@ -71,119 +69,45 @@ func partitionedRun(t *testing.T, seed int64, deadline Time) ([]string, EngineSt
 			})
 		}
 	}
-	if deadline > 0 {
-		e.RunUntil(deadline)
-	} else {
-		e.Run()
-	}
+	e.Run()
 	var merged []string
 	for _, l := range logs {
 		merged = append(merged, l...)
 	}
-	return merged, e.Stats(), e.ParkedProcs()
+	return merged, e.Stats()
 }
 
 // TestPartitionedDeterministicAcrossWorkers is the core byte-identity
-// property: two runs of one seeded workload produce the same logs, stats
-// and parked procs.
+// property: two runs of one seeded workload produce the same logs and
+// stats.
 func TestPartitionedDeterministicAcrossWorkers(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
-		base, baseStats, baseParked := partitionedRun(t, seed, 0)
+		base, baseStats := partitionedRun(t, seed)
 		if len(base) == 0 {
 			t.Fatalf("seed %d produced no output", seed)
 		}
-		got, gotStats, gotParked := partitionedRun(t, seed, 0)
+		got, gotStats := partitionedRun(t, seed)
 		if !reflect.DeepEqual(base, got) {
 			t.Fatalf("seed %d: log diverged between two runs\nfirst: %v\nsecond: %v", seed, base, got)
 		}
 		if !reflect.DeepEqual(baseStats, gotStats) {
 			t.Fatalf("seed %d: stats %+v != first run %+v", seed, gotStats, baseStats)
 		}
-		if !reflect.DeepEqual(baseParked, gotParked) {
-			t.Fatalf("seed %d: parked %v != first run %v", seed, gotParked, baseParked)
-		}
 	}
 }
 
-// TestPartitionedRunUntilAcrossWorkers checks the deadline semantics under
-// the quantum loop: identical truncated output across two runs, and all
-// partition clocks advanced to the deadline.
-func TestPartitionedRunUntilAcrossWorkers(t *testing.T) {
-	const seed, deadline = 11, 250
-	base, baseStats, baseParked := partitionedRun(t, seed, deadline)
-	got, gotStats, gotParked := partitionedRun(t, seed, deadline)
-	if !reflect.DeepEqual(base, got) {
-		t.Fatalf("RunUntil log diverged between two runs\nfirst: %v\nsecond: %v", base, got)
-	}
-	if !reflect.DeepEqual(baseStats, gotStats) {
-		t.Fatalf("RunUntil stats %+v != first run %+v", gotStats, baseStats)
-	}
-	if !reflect.DeepEqual(baseParked, gotParked) {
-		t.Fatalf("RunUntil parked %v != first run %v", gotParked, baseParked)
-	}
-	if baseStats.Cycles != deadline {
-		t.Fatalf("RunUntil left clock at %d, want deadline %d", baseStats.Cycles, deadline)
-	}
-}
-
-// TestPartitionedRunUntilThenRun resumes a deadline-bounded partitioned
-// run: RunUntil stops the walk midway and a later Run finishes it.
-func TestPartitionedRunUntilThenRun(t *testing.T) {
-	e := NewEngine()
-	e.SetLookahead(50)
-	p1 := e.AddPartition("p1")
-	var log []string
-	e.GoOn(p1, "walker", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Sleep(30)
-			log = append(log, fmt.Sprintf("step%d @%d", i, p.Now()))
-		}
-	})
-	e.RunUntil(100)
-	n := len(log)
-	if n == 0 || n == 10 {
-		t.Fatalf("deadline split ineffective: %d steps before deadline", n)
-	}
-	e.Run()
-	if len(log) != 10 {
-		t.Fatalf("resume incomplete: %d steps", len(log))
-	}
-}
-
-// TestPartitionedRunUntilPanicsOnTimeRegression is the deadline-regression
-// panic parity check: a multi-partition engine must fail exactly like the
+// TestPartitionedRunPanicsOnTimeRegression is the time-regression panic
+// parity check: a multi-partition engine must fail exactly like the
 // sequential one when an event is behind a partition clock.
-func TestPartitionedRunUntilPanicsOnTimeRegression(t *testing.T) {
-	e := NewEngine()
-	e.SetLookahead(10)
-	e.AddPartition("p1")
-	e.parts[1].now = 100
-	e.parts[1].queue.push(event{at: 50, seq: 1, fn: func() {}})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic on time regression")
-		}
-		if !strings.Contains(fmt.Sprint(r), "time went backwards") {
-			t.Fatalf("wrong panic: %v", r)
-		}
-	}()
-	e.RunUntil(200)
-}
-
-// TestPartitionedRunPanicsOnTimeRegression mirrors the Run variant.
 func TestPartitionedRunPanicsOnTimeRegression(t *testing.T) {
 	e := NewEngine()
 	e.SetLookahead(10)
 	e.AddPartition("p1")
 	e.parts[1].now = 100
 	e.parts[1].queue.push(event{at: 50, seq: 1, fn: func() {}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on time regression")
-		}
-	}()
-	e.Run()
+	if r := runPanic(e); !strings.Contains(fmt.Sprint(r), "time went backwards") {
+		t.Fatalf("Run panicked with %v, want the time-regression panic", r)
+	}
 }
 
 // TestSendToBelowLookaheadPanics: a cross-partition delay below the
@@ -241,48 +165,6 @@ func TestSendToAtSetupSeedsRemotePartition(t *testing.T) {
 	}
 }
 
-// TestPartitionedStop: Stop from inside a fiber halts the whole engine at
-// a deterministic point (the quantum barrier) and Run resumes.
-func TestPartitionedStop(t *testing.T) {
-	e := NewEngine()
-	e.SetLookahead(10)
-	p1 := e.AddPartition("p1")
-	steps := 0
-	e.GoOn(p1, "stopper", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Sleep(5)
-			steps++
-			if steps == 3 {
-				e.Stop()
-				// The fiber parks; the engine halts at the barrier with
-				// its wakeup still pending, so Run resumes it.
-			}
-		}
-	})
-	e.Run()
-	if steps < 3 || steps == 10 {
-		t.Fatalf("Stop ineffective: %d steps", steps)
-	}
-	e.Run()
-	if steps != 10 {
-		t.Fatalf("resume after Stop incomplete: %d steps", steps)
-	}
-}
-
-// TestProcPart reports the partition a fiber lives on.
-func TestProcPart(t *testing.T) {
-	e := NewEngine()
-	e.SetLookahead(10)
-	p1 := e.AddPartition("p1")
-	got := make([]PartID, 2)
-	e.Go("root", func(p *Proc) { got[0] = p.Part() })
-	e.GoOn(p1, "one", func(p *Proc) { got[1] = p.Part() })
-	e.Run()
-	if got[0] != 0 || got[1] != p1 {
-		t.Fatalf("Part() = %v, want [0 %d]", got, p1)
-	}
-}
-
 // TestGoOnCrossPartitionDuringRunPanics: run-time spawns must stay on the
 // spawner's own partition.
 func TestGoOnCrossPartitionDuringRunPanics(t *testing.T) {
@@ -320,8 +202,8 @@ func TestWindowPanicReachesRunCaller(t *testing.T) {
 // stats of two runs of one partitioned workload are identical and
 // plausible.
 func TestPartitionedEngineStatsAcrossWorkersMatchSerialMerge(t *testing.T) {
-	_, s1, _ := partitionedRun(t, 99, 0)
-	_, s2, _ := partitionedRun(t, 99, 0)
+	_, s1 := partitionedRun(t, 99)
+	_, s2 := partitionedRun(t, 99)
 	if !reflect.DeepEqual(s1, s2) {
 		t.Fatalf("stats differ between two runs: %+v vs %+v", s1, s2)
 	}

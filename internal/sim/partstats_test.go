@@ -10,7 +10,7 @@ import (
 // volume — totalled and broken down per partition, and the breakdown is
 // internally consistent.
 func TestPartitionedStatsHealthCounters(t *testing.T) {
-	_, st, _ := partitionedRun(t, 42, 50000)
+	_, st := partitionedRun(t, 42)
 	if st.Windows == 0 {
 		t.Error("Windows = 0, want > 0 on a partitioned run")
 	}
@@ -46,8 +46,8 @@ func TestPartitionedStatsHealthCounters(t *testing.T) {
 // simulated-time quantities, so two runs of one workload report the same
 // ones.
 func TestPartitionedStatsDeterministicAcrossWorkers(t *testing.T) {
-	_, base, _ := partitionedRun(t, 7, 50000)
-	if _, st, _ := partitionedRun(t, 7, 50000); !reflect.DeepEqual(st, base) {
+	_, base := partitionedRun(t, 7)
+	if _, st := partitionedRun(t, 7); !reflect.DeepEqual(st, base) {
 		t.Errorf("stats differ between two runs\n got %+v\nwant %+v", st, base)
 	}
 }
@@ -69,8 +69,8 @@ func TestSequentialStatsOmitHealthCounters(t *testing.T) {
 // something for a single engine; folding a second engine clears it while
 // the scalar counters keep summing.
 func TestMergeDropsPartsAcrossEngines(t *testing.T) {
-	_, a, _ := partitionedRun(t, 1, 20000)
-	_, b, _ := partitionedRun(t, 2, 20000)
+	_, a := partitionedRun(t, 1)
+	_, b := partitionedRun(t, 2)
 	var m EngineStats
 	m.Merge(a)
 	if !reflect.DeepEqual(m.Parts, a.Parts) {

@@ -9,9 +9,10 @@ import (
 	"testing"
 )
 
-// procFormsRun runs a seeded workload written only in the Proc forms —
-// p.At, p.After, p.SendTo and p.Go — over four logical partitions and
-// returns one log per logical partition. With partitioned set, logical
+// procFormsRun runs a seeded workload written in the forms a process
+// schedules with — e.After, e.At and e.Go, which during a run act on the
+// process's own partition, and p.SendTo — over four logical partitions
+// and returns one log per logical partition. With partitioned set, logical
 // partition i is engine partition i (lookahead 20); otherwise everything
 // shares the serial engine's one partition and SendTo is plain After.
 func procFormsRun(partitioned bool, seed int64) [][]string {
@@ -50,14 +51,14 @@ func procFormsRun(partitioned bool, seed int64) [][]string {
 			for s, st := range steps {
 				p.Sleep(st.sleep)
 				logf(p.Now(), "step%d", s)
-				p.After(st.after, func() { logf(e.PartNow(part(i)), "after%d", s) })
-				p.At(p.Now()+st.at, func() { logf(e.PartNow(part(i)), "at%d", s) })
+				e.After(st.after, func() { logf(e.PartNow(part(i)), "after%d", s) })
+				e.At(p.Now()+st.at, func() { logf(e.PartNow(part(i)), "at%d", s) })
 				to := st.to
 				p.SendTo(part(to), st.delay, func() {
 					logs[to] = append(logs[to], fmt.Sprintf("@%d msg %d.%d", e.PartNow(part(to)), i, s))
 				})
 				if s%3 == 0 {
-					p.Go(fmt.Sprintf("child%d.%d", i, s), func(c *Proc) {
+					e.Go(fmt.Sprintf("child%d.%d", i, s), func(c *Proc) {
 						c.Sleep(st.after + 1)
 						logf(c.Now(), "child%d", s)
 					})
@@ -69,7 +70,7 @@ func procFormsRun(partitioned bool, seed int64) [][]string {
 	return logs
 }
 
-// TestProcFormsMatchSerialAcrossWorkers: a workload written in the Proc
+// TestProcFormsMatchSerialAcrossWorkers: a workload written in those
 // forms produces byte-identical logs in two partitioned runs, and the
 // same timestamped events on every partition as on the serial engine.
 // The serial comparison sorts each partition's log: the serial engine
@@ -146,7 +147,7 @@ func TestAmbientCallActsOnWindowPartition(t *testing.T) {
 	}{
 		{"fiber After", func(e *Engine, p *Proc, got *Time) { e.After(1, func() { *got = e.Now() }) }, 6},
 		{"fiber SendTo", func(e *Engine, p *Proc, got *Time) { e.SendTo(2, 10, func() { *got = e.Now() }) }, 15},
-		{"callback Now", func(e *Engine, p *Proc, got *Time) { p.After(1, func() { *got = e.Now() }) }, 6},
+		{"callback Now", func(e *Engine, p *Proc, got *Time) { e.At(p.Now()+1, func() { *got = e.Now() }) }, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine()
@@ -193,14 +194,14 @@ func TestCrossPartitionWakePanics(t *testing.T) {
 func TestFiberPanicReachesRunCaller(t *testing.T) {
 	bodies := []struct {
 		name string
-		body func(p *Proc)
+		body func(e *Engine, p *Proc)
 	}{
-		{"body", func(p *Proc) {
+		{"body", func(e *Engine, p *Proc) {
 			p.Sleep(1)
 			panic("proc boom")
 		}},
-		{"event", func(p *Proc) {
-			p.After(2, func() { panic("proc boom") })
+		{"event", func(e *Engine, p *Proc) {
+			e.After(2, func() { panic("proc boom") })
 			p.Sleep(5)
 		}},
 	}
@@ -226,7 +227,7 @@ func TestFiberPanicReachesRunCaller(t *testing.T) {
 						}
 					})
 				}
-				e.GoOn(PartID(cfg.parts-1), "boom", b.body)
+				e.GoOn(PartID(cfg.parts-1), "boom", func(p *Proc) { b.body(e, p) })
 				if r := runPanic(e); fmt.Sprint(r) != "proc boom" {
 					t.Fatalf("Run panicked with %v, want proc boom", r)
 				}

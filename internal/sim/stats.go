@@ -31,13 +31,13 @@ type EngineStats struct {
 	// Engines is the number of engines folded into this snapshot.
 	Engines int64 `json:"engines"`
 	// Events counts events dispatched by the engine loop (callbacks and
-	// process wakeups, including stale ones).
+	// process wakeups).
 	Events int64 `json:"events"`
 	// ProcSwitches counts resumptions of a process other than the one
 	// its partition's dispatcher last resumed (self-wakeups cost no
 	// switch and are not counted; see Engine).
 	ProcSwitches int64 `json:"proc_switches"`
-	// ProcsSpawned counts processes created with Go/GoAt.
+	// ProcsSpawned counts processes created with Go/GoOn.
 	ProcsSpawned int64 `json:"procs_spawned"`
 	// HeapHighWater is the peak event-heap depth observed.
 	HeapHighWater int64 `json:"heap_high_water"`

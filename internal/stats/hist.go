@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Histogram is a log2-bucketed histogram of non-negative integer
@@ -70,29 +69,6 @@ func bucketBounds(b int) (lo, hi int64) {
 		return 1 << 62, math.MaxInt64
 	}
 	return 1 << (b - 1), 1<<b - 1
-}
-
-// Merge folds other's observations into h. Count, sum, min, max and the
-// buckets all combine exactly; merging an empty or nil histogram is a
-// no-op, as is calling Merge on a nil receiver.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil || other.n == 0 {
-		return
-	}
-	for len(h.buckets) < len(other.buckets) {
-		h.buckets = append(h.buckets, 0)
-	}
-	for b, c := range other.buckets {
-		h.buckets[b] += c
-	}
-	if h.n == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.n += other.n
-	h.sum += other.sum
 }
 
 // N returns the observation count.
@@ -201,31 +177,4 @@ func (h *Histogram) String() string {
 	}
 	return fmt.Sprintf("n=%d mean=%.0f min=%d p50~%.0f p95~%.0f max=%d",
 		h.n, h.HMean(), h.min, h.Quantile(0.50), h.Quantile(0.95), h.max)
-}
-
-// Bars renders an ASCII bucket chart, one line per non-empty bucket, with
-// bars scaled to width characters.
-func (h *Histogram) Bars(width int) string {
-	bs := h.Buckets()
-	if len(bs) == 0 {
-		return ""
-	}
-	if width <= 0 {
-		width = 40
-	}
-	var peak int64
-	for _, b := range bs {
-		if b[2] > peak {
-			peak = b[2]
-		}
-	}
-	var sb strings.Builder
-	for _, b := range bs {
-		n := int(b[2] * int64(width) / peak)
-		if n == 0 {
-			n = 1
-		}
-		fmt.Fprintf(&sb, "%12d - %-12d %8d %s\n", b[0], b[1], b[2], strings.Repeat("#", n))
-	}
-	return sb.String()
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -106,83 +105,7 @@ func TestHistEmptyRender(t *testing.T) {
 	if s := nilHist.String(); s != "n=0" {
 		t.Fatalf("nil String() = %q", s)
 	}
-	if b := NewHistogram().Bars(40); b != "" {
-		t.Fatalf("empty Bars() = %q", b)
-	}
 	if got := NewHistogram().Buckets(); got != nil {
 		t.Fatalf("empty Buckets() = %v", got)
-	}
-}
-
-func TestHistMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for _, x := range []int64{0, 3, 100} {
-		a.Observe(x)
-	}
-	for _, x := range []int64{7, 5000} {
-		b.Observe(x)
-	}
-	a.Merge(b)
-
-	// The merged histogram must be indistinguishable from observing
-	// everything into one.
-	want := NewHistogram()
-	for _, x := range []int64{0, 3, 100, 7, 5000} {
-		want.Observe(x)
-	}
-	if a.N() != want.N() || a.Sum() != want.Sum() || a.HMin() != want.HMin() || a.HMax() != want.HMax() {
-		t.Fatalf("merge: n=%d sum=%d min=%d max=%d, want n=%d sum=%d min=%d max=%d",
-			a.N(), a.Sum(), a.HMin(), a.HMax(), want.N(), want.Sum(), want.HMin(), want.HMax())
-	}
-	ab, wb := a.Buckets(), want.Buckets()
-	if len(ab) != len(wb) {
-		t.Fatalf("merge buckets = %v, want %v", ab, wb)
-	}
-	for i := range ab {
-		if ab[i] != wb[i] {
-			t.Fatalf("merge bucket %d = %v, want %v", i, ab[i], wb[i])
-		}
-	}
-	if a.String() != want.String() {
-		t.Fatalf("merge String() = %q, want %q", a.String(), want.String())
-	}
-}
-
-func TestHistMergeEdgeCases(t *testing.T) {
-	// Merging into an empty histogram adopts the other's min exactly.
-	empty := NewHistogram()
-	full := NewHistogram()
-	full.Observe(42)
-	empty.Merge(full)
-	if empty.HMin() != 42 || empty.HMax() != 42 || empty.N() != 1 {
-		t.Fatalf("empty.Merge(full): min=%d max=%d n=%d", empty.HMin(), empty.HMax(), empty.N())
-	}
-
-	// Merging an empty or nil histogram changes nothing.
-	before := full.String()
-	full.Merge(NewHistogram())
-	full.Merge(nil)
-	if full.String() != before {
-		t.Fatalf("merge of empty/nil changed histogram: %q -> %q", before, full.String())
-	}
-
-	// Nil receiver is a no-op, matching the rest of the API.
-	var nilHist *Histogram
-	nilHist.Merge(full)
-	if nilHist.N() != 0 {
-		t.Fatal("nil receiver merge should observe nothing")
-	}
-}
-
-func TestHistBarsRendersNonEmptyBuckets(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(1)
-	h.Observe(1000)
-	bars := h.Bars(10)
-	if lines := strings.Count(bars, "\n"); lines != 2 {
-		t.Fatalf("Bars lines = %d:\n%s", lines, bars)
-	}
-	if !strings.Contains(bars, "#") {
-		t.Fatalf("Bars missing bar glyphs:\n%s", bars)
 	}
 }

@@ -1,5 +1,5 @@
 // Package stats provides the summary statistics the measurement harness
-// uses: mean, standard deviation, percentiles, confidence intervals, and
+// uses: mean, standard deviation, percentiles, spread, and
 // cycle/time conversion helpers. The paper's methodology (§IV) demanded
 // low variance — measurements at the level of a few hundred cycles are
 // easily skewed by thousands — so the harness records full samples and
@@ -120,17 +120,6 @@ func (s *Sample) Percentile(p float64) float64 {
 // Median returns the 50th percentile.
 func (s *Sample) Median() float64 { return s.Percentile(50) }
 
-// CI95 returns the half-width of the 95% confidence interval of the mean
-// (normal approximation; the simulator's samples are plentiful and well
-// behaved).
-func (s *Sample) CI95() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	return 1.96 * s.Stddev() / math.Sqrt(float64(n))
-}
-
 // CV returns the coefficient of variation (stddev/mean), the spread
 // measure the paper's methodology worries about.
 func (s *Sample) CV() float64 {
@@ -145,14 +134,6 @@ func (s *Sample) CV() float64 {
 func (s *Sample) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f sd=%.1f min=%.1f p50=%.1f max=%.1f",
 		s.N(), s.Mean(), s.Stddev(), s.Min(), s.Median(), s.Max())
-}
-
-// Ratio returns a/b, guarding against division by zero.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return math.Inf(1)
-	}
-	return a / b
 }
 
 // GeoMean returns the geometric mean of positive values (how SPECjvm2008

@@ -12,7 +12,7 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 func TestEmptySampleIsZero(t *testing.T) {
 	s := New()
 	if s.Mean() != 0 || s.Stddev() != 0 || s.Min() != 0 || s.Max() != 0 ||
-		s.Percentile(50) != 0 || s.CI95() != 0 || s.CV() != 0 || s.N() != 0 {
+		s.Percentile(50) != 0 || s.CV() != 0 || s.N() != 0 {
 		t.Fatal("empty sample should be all zeros")
 	}
 }
@@ -53,23 +53,14 @@ func TestAddAfterSortedQuery(t *testing.T) {
 	}
 }
 
-func TestCVAndCI(t *testing.T) {
+func TestCV(t *testing.T) {
 	s := Of(10, 10, 10, 10)
-	if s.CV() != 0 || s.CI95() != 0 {
+	if s.CV() != 0 {
 		t.Fatal("constant sample has no spread")
 	}
 	v := Of(8, 12, 8, 12)
-	if v.CV() <= 0 || v.CI95() <= 0 {
-		t.Fatal("spread sample should have positive CV and CI")
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(10, 4) != 2.5 {
-		t.Fatal("ratio")
-	}
-	if !math.IsInf(Ratio(1, 0), 1) {
-		t.Fatal("ratio by zero should be +Inf")
+	if v.CV() <= 0 {
+		t.Fatal("spread sample should have positive CV")
 	}
 }
 

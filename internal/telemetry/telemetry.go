@@ -71,11 +71,6 @@ const (
 	CtrNICIRQ = "nic-irq"
 	// CtrDiskReq counts block requests served.
 	CtrDiskReq = "disk-req"
-	// Vhost/netback ring accesses (KVM and Xen paravirt I/O backends).
-	CtrVhostRx   = "vhost-rx"
-	CtrVhostTx   = "vhost-tx"
-	CtrNetbackRx = "netback-rx"
-	CtrNetbackTx = "netback-tx"
 )
 
 // Key identifies one column: a series kind, an optional sub-name (exit

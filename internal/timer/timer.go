@@ -22,8 +22,8 @@ type VirtualTimer struct {
 	// raise delivers the physical PPI; wired to the GIC distributor by
 	// the machine layer.
 	raise func(pcpu int)
-	// pcpu is where expiry will be delivered (updated when the VCPU
-	// migrates; with the paper's pinning it never changes).
+	// pcpu is where expiry is delivered (the paper pins every VCPU, so
+	// it never changes).
 	pcpu    int
 	cval    sim.Time
 	enabled bool
@@ -74,12 +74,6 @@ func (t *VirtualTimer) Cancel() {
 
 // Enabled reports whether the timer is armed.
 func (t *VirtualTimer) Enabled() bool { return t.enabled }
-
-// Migrate moves future expiry delivery to another physical CPU.
-func (t *VirtualTimer) Migrate(pcpu int) { t.pcpu = pcpu }
-
-// PCPU returns the delivery target.
-func (t *VirtualTimer) PCPU() int { return t.pcpu }
 
 // PeriodicTick drives a fixed-rate tick (a guest's scheduler tick) by
 // rearming the timer from a handler. Returns a stop function. onTick runs

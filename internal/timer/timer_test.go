@@ -73,29 +73,13 @@ func TestProgramInPastFiresImmediately(t *testing.T) {
 	}
 }
 
-func TestMigrateChangesDeliveryCPU(t *testing.T) {
-	e := sim.NewEngine()
-	var cpu int = -1
-	vt := NewVirtualTimer(e, 0, func(p int) { cpu = p })
-	vt.Migrate(5)
-	vt.Program(10)
-	e.Run()
-	if cpu != 5 {
-		t.Fatalf("delivered on %d, want 5", cpu)
-	}
-	if vt.PCPU() != 5 {
-		t.Fatalf("PCPU = %d", vt.PCPU())
-	}
-}
-
 func TestPeriodicTick(t *testing.T) {
 	e := sim.NewEngine()
 	raised := 0
 	handled := 0
 	vt := NewVirtualTimer(e, 0, func(int) { raised++ })
 	stop := PeriodicTick(e, vt, 100, func() { handled++ })
-	e.RunUntil(550)
-	stop()
+	e.At(550, stop)
 	e.Run()
 	if raised != 5 || handled != 5 {
 		t.Fatalf("raised=%d handled=%d, want 5/5 ticks by t=550", raised, handled)

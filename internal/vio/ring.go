@@ -66,9 +66,6 @@ func NewRing(name string, size int) *Ring {
 // Name returns the ring's diagnostic name.
 func (r *Ring) Name() string { return r.name }
 
-// Cap returns the descriptor capacity.
-func (r *Ring) Cap() int { return r.size }
-
 // InFlight returns the number of descriptors currently owned by the ring
 // or the backend (posted and not yet reclaimed).
 func (r *Ring) InFlight() int { return r.outstanding }
